@@ -100,15 +100,25 @@ def _check_query(index: ProductKeyIndex, query: np.ndarray) -> np.ndarray:
     return q
 
 
+def _check_finite(q: np.ndarray) -> None:
+    """A NaN or inf query has no top-k: scores tie or compare arbitrarily."""
+    finite = np.isfinite(q).all(axis=-1)
+    if not finite.all():
+        bad = finite.size - np.count_nonzero(finite)
+        raise ValueError(f"{bad} of {finite.size} query rows are non-finite (NaN or inf); retrieval needs finite queries")
+
+
 def retrieve_topk(index: ProductKeyIndex, query, k: int, counter: OpCounter | None = None) -> RetrievalResult:
     """Exact top-k expert ids for one query via the product-key structure.
 
     Splits the query in two, takes the per-side top-k over sub-key inner
     products, and re-ranks the k^2 candidate sums. The true top-k is always
     contained in the candidates, so the result equals exhaustive search.
-    Requires k <= sqrt(N) (each side must supply k candidates).
+    Requires k <= sqrt(N) (each side must supply k candidates) and a finite
+    query (ValueError otherwise).
     """
     q = _check_query(index, query)
+    _check_finite(q)
     sqrt_n = index.sqrt_n
     if not 1 <= k <= sqrt_n:
         raise ValueError(f"k must be in [1, sqrt(N)={sqrt_n}], got {k}")
@@ -116,15 +126,11 @@ def retrieve_topk(index: ProductKeyIndex, query, k: int, counter: OpCounter | No
     s_left = index.left.keys.data @ q[:half]
     s_right = index.right.keys.data @ q[half:]
 
-    i_top, s1 = top_k(s_left, k)
-    j_top, s2 = top_k(s_right, k)
-
     # arrange per-side winners by sub-index so candidates come out in
     # ascending expert-id order; the stable top-k then breaks ties by id
-    i_order = np.argsort(i_top, kind="stable")
-    j_order = np.argsort(j_top, kind="stable")
-    i_top, s1 = i_top[i_order], s1[i_order]
-    j_top, s2 = j_top[j_order], s2[j_order]
+    i_top = np.sort(top_k(s_left, k)[0])
+    j_top = np.sort(top_k(s_right, k)[0])
+    s1, s2 = s_left[i_top], s_right[j_top]
 
     cand_scores = (s1[:, None] + s2[None, :]).ravel()
     cand_ids = (i_top[:, None] * sqrt_n + j_top[None, :]).ravel()
@@ -145,6 +151,7 @@ def retrieve_topk_batch(index: ProductKeyIndex, queries, k: int, counter: OpCoun
     q = queries.data if isinstance(queries, Tensor) else np.asarray(queries)
     if q.ndim != 2 or q.shape[1] != index.key_dim:
         raise ValueError(f"queries must have shape [m, {index.key_dim}], got {q.shape}")
+    _check_finite(q)
     sqrt_n = index.sqrt_n
     if not 1 <= k <= sqrt_n:
         raise ValueError(f"k must be in [1, sqrt(N)={sqrt_n}], got {k}")
@@ -153,17 +160,15 @@ def retrieve_topk_batch(index: ProductKeyIndex, queries, k: int, counter: OpCoun
     s_left = q[:, :half] @ index.left.keys.data.T  # [m, sqrt_n]
     s_right = q[:, half:] @ index.right.keys.data.T
 
-    i_top, s1 = top_k(s_left, k)
-    j_top, s2 = top_k(s_right, k)
+    # per-side winners by sub-index, as in retrieve_topk: candidates then come
+    # out in ascending expert-id order and the stable top-k breaks ties by id
+    i_top = np.sort(top_k(s_left, k)[0], axis=-1)
+    j_top = np.sort(top_k(s_right, k)[0], axis=-1)
+    s1 = np.take_along_axis(s_left, i_top, axis=-1)
+    s2 = np.take_along_axis(s_right, j_top, axis=-1)
 
     cand_scores = (s1[:, :, None] + s2[:, None, :]).reshape(m, k * k)
     cand_ids = (i_top[:, :, None] * sqrt_n + j_top[:, None, :]).reshape(m, k * k)
-
-    # Global top-k over candidates with the (score desc, id asc) rule: sort
-    # candidates by id first, then a stable sort on -score keeps id order.
-    id_order = np.argsort(cand_ids, axis=-1, kind="stable")
-    cand_ids = np.take_along_axis(cand_ids, id_order, axis=-1)
-    cand_scores = np.take_along_axis(cand_scores, id_order, axis=-1)
     sel, scores = top_k(cand_scores, k)
     indices = np.take_along_axis(cand_ids, sel, axis=-1)
 

@@ -521,7 +521,8 @@ def gather_rows(table: Tensor, idx) -> Tensor:
     def backward(g):
         if table.requires_grad:
             if table.grad is None:
-                table.grad = np.zeros_like(table.data)
+                # np.zeros, not zeros_like: pages no row lands on are never written
+                table.grad = np.zeros(table.data.shape, dtype=table.data.dtype)
             scatter_add_into(table.grad, idx, g)
 
     return _register(out, table.requires_grad, backward)
@@ -693,9 +694,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 def top_k(values, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k over the last axis, ordered by (value desc, index asc).
 
-    Equal values resolve to the smaller index (stable sort on the negated
-    values), so results are deterministic. Accepts a Tensor or ndarray;
-    returns (indices, values) as ndarrays.
+    Equal values resolve to the smaller index, so results are deterministic
+    and equal to a stable sort on the negated values. Rows long compared with
+    k are narrowed to k survivors by partial selection, and only those are
+    ordered; a row whose k-th largest value is shared across the cut (or that
+    holds a NaN) takes the full stable sort instead. Accepts a Tensor or
+    ndarray; returns (indices, values) as ndarrays.
     """
     v = values.data if isinstance(values, Tensor) else np.asarray(values)
     if v.ndim == 0 or v.shape[-1] == 0:
@@ -703,16 +707,23 @@ def top_k(values, k: int) -> tuple[np.ndarray, np.ndarray]:
     n = v.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"top_k k={k} out of range [1, {n}]")
-    if v.ndim == 1 and n >= 2048 and k <= n // 4:
-        # narrow to candidates >= the k-th largest value, then order only
-        # those; identical result to the full stable sort
-        kth = np.partition(v, n - k)[n - k]
-        cand = np.flatnonzero(v >= kth)
-        if cand.size <= n // 2:
-            order = cand[np.argsort(-v[cand], kind="stable")[:k]]
-            return order, v[order]
-    order = np.argsort(-v, axis=-1, kind="stable")
-    idx = order[..., :k]
+    if n < 8 * k:
+        idx = np.argsort(-v, axis=-1, kind="stable")[..., :k]
+        return idx, np.take_along_axis(v, idx, axis=-1)
+    # the k largest in any order (NaN counts as largest here), then ids ascending
+    idx = np.sort(np.argpartition(v, n - k, axis=-1)[..., n - k :], axis=-1)
+    vals = np.take_along_axis(v, idx, axis=-1)
+    kth = vals.min(axis=-1, keepdims=True)
+    # the survivors are exactly the values >= the k-th unless it is tied
+    # across the cut; a NaN makes kth NaN or leaves a survivor uncounted
+    straddle = np.count_nonzero(v >= kth, axis=-1) != k
+    order = np.argsort(-vals, axis=-1, kind="stable")
+    idx = np.take_along_axis(idx, order, axis=-1)
+    if straddle.any():
+        if v.ndim == 1:
+            idx = np.argsort(-v, kind="stable")[:k]
+        else:
+            idx[straddle] = np.argsort(-v[straddle], axis=-1, kind="stable")[..., :k]
     return idx, np.take_along_axis(v, idx, axis=-1)
 
 

@@ -9,7 +9,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from . import analysis
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Corpus
 from .model import Model
-from .tensor import Tape
+from .tensor import Tape, Tensor
 
 METRICS_HEADER = "step,loss,ppl,tokens_per_s,mac_per_token"
 
@@ -45,11 +45,55 @@ class TrainState:
     moments: dict[str, tuple[np.ndarray, np.ndarray]]
     rng: np.random.Generator
     running_loss: float = 0.0
+    # per parameter of 2+ dims: a mask of the rows whose moments may be
+    # nonzero. A cache, not saved in checkpoints; a missing entry is rebuilt
+    # from the moments.
+    live: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def init_train_state(model: Model, cfg: TrainConfig) -> TrainState:
-    moments = {name: (np.zeros_like(p.data), np.zeros_like(p.data)) for name, p in model.named_parameters().items()}
-    return TrainState(step=0, moments=moments, rng=np.random.default_rng(cfg.seed))
+    # np.zeros, not zeros_like: pages of rows the optimizer never updates are never written
+    params = model.named_parameters()
+    moments = {name: (np.zeros(p.data.shape, p.data.dtype), np.zeros(p.data.shape, p.data.dtype)) for name, p in params.items()}
+    live = {name: np.zeros(p.data.shape[0], dtype=bool) for name, p in params.items() if p.data.ndim >= 2}
+    return TrainState(step=0, moments=moments, rng=np.random.default_rng(cfg.seed), live=live)
+
+
+def _nonzero_rows(a: np.ndarray) -> np.ndarray:
+    """Rows of `a` with any bit set (so -0.0 counts as nonzero)."""
+    return a.reshape(a.shape[0], -1).view(np.dtype(f"u{a.itemsize}")).any(axis=1)
+
+
+def _live_rows(name: str, p: Tensor, m: np.ndarray, v: np.ndarray, live: dict[str, np.ndarray]) -> np.ndarray | None:
+    """Rows of `p` an Adam step can change, or None to update every row.
+
+    On a row whose gradient and moments are all zero, Adam leaves the
+    parameter and both moments bitwise unchanged, so only rows with a nonzero
+    gradient or nonzero moments need the update. Tables read through
+    `gather_rows` have few such rows; dense gradients make every row live.
+    """
+    if p.data.ndim < 2:
+        return None
+    mask = live.get(name)
+    if mask is None:
+        mask = live[name] = _nonzero_rows(m) | _nonzero_rows(v)
+    if p.grad is not None:
+        mask |= _nonzero_rows(p.grad)
+    rows = np.flatnonzero(mask)
+    return rows if 2 * rows.size <= mask.size else None
+
+
+def _adam(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, lr_t: float, step: int, cfg: TrainConfig) -> None:
+    """One in-place Adam update. Elementwise, so on a subset of rows it gives
+    the same bits as on the whole array."""
+    b1, b2 = cfg.beta1, cfg.beta2
+    bias1 = 1.0 - b1**step
+    bias2 = 1.0 - b2**step
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
+    p -= (lr_t / bias1) * m / (np.sqrt(v / bias2) + cfg.eps)
 
 
 def train_step(model: Model, corpus: Corpus, state: TrainState, cfg: TrainConfig) -> dict:
@@ -70,17 +114,17 @@ def train_step(model: Model, corpus: Corpus, state: TrainState, cfg: TrainConfig
 
     step = state.step + 1
     lr_t = cfg.lr * min(1.0, step / max(1, cfg.warmup))
-    b1, b2 = cfg.beta1, cfg.beta2
-    bias1 = 1.0 - b1**step
-    bias2 = 1.0 - b2**step
     for name, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
         m, v = state.moments[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p.data -= (lr_t / bias1) * m / (np.sqrt(v / bias2) + cfg.eps)
+        rows = _live_rows(name, p, m, v, state.live)
+        if rows is None:
+            g = p.grad if p.grad is not None else np.zeros(p.data.shape, p.data.dtype)
+            _adam(p.data, g, m, v, lr_t, step, cfg)
+            continue
+        p_rows, m_rows, v_rows = p.data[rows], m[rows], v[rows]
+        g = p.grad[rows] if p.grad is not None else np.zeros_like(p_rows)
+        _adam(p_rows, g, m_rows, v_rows, lr_t, step, cfg)
+        p.data[rows], m[rows], v[rows] = p_rows, m_rows, v_rows
 
     state.step = step
     state.running_loss = loss_value if step == 1 else 0.99 * state.running_loss + 0.01 * loss_value
@@ -117,10 +161,19 @@ def train(
     rows: list[dict] = []
     metrics_file = None
     if metrics_path is not None:
-        append = state.step > 0 and os.path.exists(metrics_path) and os.path.getsize(metrics_path) > 0
-        metrics_file = open(metrics_path, "a" if append else "w")
-        if not append:
-            metrics_file.write(METRICS_HEADER + "\n")
+        # a resumed run keeps the rows up to its own step; rows past it (from a
+        # run that went on after the checkpoint) are written again below. The
+        # kept rows go to a temporary file that replaces the old one whole, so
+        # a run killed at any point leaves them on disk.
+        kept = [METRICS_HEADER]
+        if state.step > 0 and os.path.exists(metrics_path):
+            with open(metrics_path) as f:
+                kept += [line for line in f.read().splitlines()[1:] if line and int(line.split(",", 1)[0]) <= state.step]
+        tmp_path = f"{metrics_path}.tmp"
+        with open(tmp_path, "w") as f:
+            f.write("\n".join(kept) + "\n")
+        os.replace(tmp_path, metrics_path)
+        metrics_file = open(metrics_path, "a")
     try:
         while state.step < cfg.steps:
             row = train_step(model, corpus, state, cfg)

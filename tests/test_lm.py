@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -17,6 +18,8 @@ from peer_lab.train import (
     save_train_checkpoint,
     train,
 )
+
+train_module = importlib.import_module("peer_lab.train")  # `peer_lab.train` is the function
 
 
 def tiny_config(middle="dense", **kw):
@@ -154,6 +157,45 @@ class TestTraining:
         first = lines[1].split(",")
         assert first[0] == "1"
         assert int(first[4]) == analysis.model_param_macs_per_token(model.config)
+
+    def test_metrics_csv_resume_from_older_checkpoint_keeps_each_step_once(self, tmp_path):
+        corpus = periodic_corpus()
+        path = tmp_path / "metrics.csv"
+        cfg = TrainConfig(steps=6, batch=4, lr=1e-3, seed=0)
+        model = build_model(tiny_config())
+        state, _ = train(model, corpus, TrainConfig(steps=3, batch=4, lr=1e-3, seed=0), metrics_path=path)
+        save_train_checkpoint(tmp_path / "step3.bin", model, state)
+        train(model, corpus, cfg, state=state, metrics_path=path)  # the file now runs to step 6
+        written = path.read_text().splitlines()
+
+        resumed = build_model(tiny_config())
+        train(resumed, corpus, cfg, state=load_train_checkpoint(tmp_path / "step3.bin", resumed), metrics_path=path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "step,loss,ppl,tokens_per_s,mac_per_token"
+        assert [int(line.split(",")[0]) for line in lines[1:]] == [1, 2, 3, 4, 5, 6]
+        # rows up to the checkpoint are kept as written; the replayed ones have the same losses
+        assert lines[:4] == written[:4]
+        assert [line.split(",")[1] for line in lines[4:]] == [line.split(",")[1] for line in written[4:]]
+
+    def test_metrics_csv_rows_kept_on_resume_are_on_disk_before_the_first_step(self, tmp_path, monkeypatch):
+        corpus = periodic_corpus()
+        path = tmp_path / "metrics.csv"
+        model = build_model(tiny_config())
+        state, _ = train(model, corpus, TrainConfig(steps=3, batch=4, lr=1e-3, seed=0), metrics_path=path)
+        written = path.read_text()
+        seen = []
+
+        def killed(*args):
+            # what a run killed during its first resumed step would leave behind
+            seen.append(path.read_text())
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(train_module, "train_step", killed)
+        with pytest.raises(KeyboardInterrupt):
+            train(model, corpus, TrainConfig(steps=6, batch=4, lr=1e-3, seed=0), state=state, metrics_path=path)
+        assert seen == [written]
+        assert path.read_text() == written
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
 
     def test_nan_loss_aborts_with_diagnostic(self):
         model = build_model(tiny_config())

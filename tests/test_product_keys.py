@@ -67,6 +67,12 @@ class TestRetrieveTopk:
         with pytest.raises(ValueError):
             retrieve_topk(hand_index(), np.array([1.0, 1.0, 1.0]), 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_errors(self, bad):
+        # an all-NaN query used to route to experts 0..k-1, an inf one to arbitrary ids
+        with pytest.raises(ValueError, match="1 of 1 query rows are non-finite"):
+            retrieve_topk(hand_index(), np.array([bad, 1.0]), 1)
+
     def test_mac_and_comparison_counts(self):
         counter = OpCounter()
         index = build_index(4096, 16, seed=1)
@@ -213,6 +219,13 @@ class TestBatchedRetrieval:
         indices, scores = retrieve_topk_batch(index, np.zeros((3, 8)), 4)
         assert np.array_equal(indices, np.tile(np.arange(4), (3, 1)))
         assert np.all(scores == 0.0)
+
+    def test_non_finite_rows_are_counted(self):
+        queries = np.zeros((5, 8))
+        queries[1, :] = np.nan
+        queries[3, 2] = np.inf
+        with pytest.raises(ValueError, match="2 of 5 query rows are non-finite"):
+            retrieve_topk_batch(build_index(256, 8, seed=0), queries, 4)
 
 
 class TestRetrievalBackward:
