@@ -177,13 +177,10 @@ def pkm_forward(
     with T.macs_uncounted():
         q1 = T.col_slice(q_all, 0, half)
         q2 = T.col_slice(q_all, half, cfg.query_dim)
-        left_rows = T.gather_rows(layer.index.left.keys, idx // sqrt_n)
-        right_rows = T.gather_rows(layer.index.right.keys, idx % sqrt_n)
-        scores = T.add(T.batched_dot(q1, left_rows), T.batched_dot(q2, right_rows))
+        scores = T.add(T.gather_dot(q1, layer.index.left.keys, idx // sqrt_n), T.gather_dot(q2, layer.index.right.keys, idx % sqrt_n))
     weights = T.softmax(scores) if cfg.score_norm == "softmax_per_head" else T.sigmoid(scores)
 
-    value_rows = T.gather_rows(layer.values, idx)
-    y_flat = T.batched_weighted_sum(weights, value_rows)  # [heads*m, d_model] value readout
+    y_flat = T.gather_weighted_sum(weights, layer.values, idx)  # [heads*m, d_model] value readout
 
     y = T.row_slice(y_flat, 0, m) if cfg.heads > 1 else y_flat
     for h in range(1, cfg.heads):

@@ -49,11 +49,15 @@ def synthetic_text(n_bytes: int, seed: int = 0) -> bytes:
     ranks = np.arange(1, len(_WORDS) + 1, dtype=np.float64)
     weights = 1.0 / ranks
     weights /= weights.sum()
+    # the inverse-CDF draw rng.choice(len(_WORDS), size, p=weights) makes,
+    # with its CDF built once instead of once per sentence
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
     pieces: list[str] = []
     size = 0
     while size < n_bytes:
         sent_len = int(rng.integers(4, 13))
-        words = [_WORDS[i] for i in rng.choice(len(_WORDS), size=sent_len, p=weights)]
+        words = [_WORDS[i] for i in cdf.searchsorted(rng.random(sent_len), side="right")]
         words[0] = words[0].capitalize()
         sentence = " ".join(words) + ". "
         if rng.random() < 0.08:

@@ -196,21 +196,16 @@ def peer_forward(
     with T.macs_uncounted():
         q1 = T.col_slice(q_all, 0, half)
         q2 = T.col_slice(q_all, half, cfg.query_dim)
-        left_rows = T.gather_rows(layer.index.left.keys, idx // sqrt_n)
-        right_rows = T.gather_rows(layer.index.right.keys, idx % sqrt_n)
-        scores = T.add(T.batched_dot(q1, left_rows), T.batched_dot(q2, right_rows))
+        scores = T.add(T.gather_dot(q1, layer.index.left.keys, idx // sqrt_n), T.gather_dot(q2, layer.index.right.keys, idx % sqrt_n))
 
     # softmax normalizes over the k retrieved scores within each head
     weights = T.softmax(scores) if cfg.score_norm == "softmax_per_head" else T.sigmoid(scores)
 
     x_rep = T.concat([x2] * cfg.heads, axis=0) if cfg.heads > 1 else x2
-    down_rows = T.gather_rows(layer.experts.w_down, idx)
-    act = activation(T.batched_dot(x_rep, down_rows))
+    act = activation(T.gather_dot(x_rep, layer.experts.w_down, idx))
     if layer.experts.w_gate is not None:
-        gate_rows = T.gather_rows(layer.experts.w_gate, idx)
-        act = T.mul(act, T.batched_dot(x_rep, gate_rows))
-    up_rows = T.gather_rows(layer.experts.w_up, idx)
-    y_flat = T.batched_weighted_sum(T.mul(weights, act), up_rows)  # [heads*m, d_model]
+        act = T.mul(act, T.gather_dot(x_rep, layer.experts.w_gate, idx))
+    y_flat = T.gather_weighted_sum(T.mul(weights, act), layer.experts.w_up, idx)  # [heads*m, d_model]
 
     y = T.row_slice(y_flat, 0, m) if cfg.heads > 1 else y_flat
     for h in range(1, cfg.heads):

@@ -18,6 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.special import erf
 
 DEFAULT_DTYPE = np.float64
@@ -27,9 +28,13 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class Tensor:
-    """A dense n-d float array with an optional same-shape gradient buffer."""
+    """A dense n-d float array with an optional same-shape gradient buffer.
 
-    __slots__ = ("data", "grad", "requires_grad")
+    `grad_ids` holds the sorted unique rows of `grad` that may be nonzero when
+    every contribution to it came from a gathered-row adjoint, else None.
+    """
+
+    __slots__ = ("data", "grad", "grad_ids", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -39,6 +44,7 @@ class Tensor:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.grad: np.ndarray | None = None
+        self.grad_ids: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
 
     @property
@@ -51,6 +57,7 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
+        self.grad_ids = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -109,7 +116,7 @@ class Tape:
                 )
             grad = np.ones_like(output.data)
         else:
-            grad = np.asarray(grad, dtype=output.data.dtype)
+            grad = np.array(grad, dtype=output.data.dtype)  # a copy: the caller keeps its array
             if grad.shape != output.data.shape:
                 raise ValueError(f"seed gradient shape {grad.shape} != output shape {output.data.shape}")
         _accum(output, grad)
@@ -118,12 +125,20 @@ class Tape:
                 bwd(out.grad)
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, ids: np.ndarray | None = None) -> None:
+    """Add one contribution to t.grad without writing into any array.
+
+    A first contribution is kept as it is, although it may alias another
+    tensor's gradient: no gradient is ever updated in place, so a later
+    contribution makes a new array (the bits of `+=`). `ids` are the sorted
+    unique rows outside which a row-sparse `g` is zero, None for a dense `g`.
+    """
     if t.grad is None:
-        # copy: g may be a view of (or alias) another tensor's grad buffer
-        t.grad = np.array(g, dtype=t.data.dtype)
+        t.grad = g.astype(t.data.dtype, copy=False)
+        t.grad_ids = ids
     else:
-        t.grad += g
+        t.grad = (t.grad + g).astype(t.data.dtype, copy=False)
+        t.grad_ids = None if ids is None or t.grad_ids is None else np.union1d(t.grad_ids, ids)
 
 
 def _register(out: Tensor, needs_grad: bool, backward) -> Tensor:
@@ -239,10 +254,6 @@ def scale(a: Tensor, c: float) -> Tensor:
             _accum(a, g * c)
 
     return _register(out, a.requires_grad, backward)
-
-
-def neg(a: Tensor) -> Tensor:
-    return scale(a, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -442,17 +453,6 @@ def sum_all(a: Tensor) -> Tensor:
     return _register(out, a.requires_grad, backward)
 
 
-def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-    out = Tensor(np.asarray(a.data.mean(), dtype=a.data.dtype))
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, np.broadcast_to(g / n, a.data.shape).astype(a.data.dtype))
-
-    return _register(out, a.requires_grad, backward)
-
-
 def cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:
     """Mean next-token cross entropy in nats. logits [n,v], targets int [n]."""
     targets = np.asarray(targets)
@@ -477,32 +477,52 @@ def cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Gather / scatter-add (embedding lookup and its adjoint)
+# Gathered rows (embedding lookups, expert and memory tables) and their adjoint
 # ---------------------------------------------------------------------------
 
 
-def scatter_add_into(buf: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
-    """buf[idx[r]] += g[r] with duplicate rows accumulated in index order.
+def scatter_add_into(buf: np.ndarray, idx: np.ndarray, operand: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """buf[idx[i, j]] += weights[i, j] * operand[i] for every entry; returns the rows written.
 
-    Segment-sum formulation of np.add.at: duplicates of one row are summed
-    left to right in their original order (stable sort), so the result is
-    deterministic and bit-identical to a sequential loop.
+    idx is [m, k] (or [m], with k = 1), operand [m, ...] and weights, shaped
+    like idx, default to ones. Each written row gets the sum of its entries,
+    taken in (i, j) order starting from zero and then added to buf: bit for
+    bit what a sequential Python loop over the entries into a zero buffer
+    gives. Entries are not merged beforehand, so an id repeated within one
+    i (a token's experts may share a sub-key) adds twice. Rows of buf no
+    entry names are not touched. Returns the sorted unique ids.
     """
-    flat_idx = idx.ravel()
-    r = flat_idx.size
-    if r == 0:
-        return
-    cols = buf[0].size if buf.ndim > 1 else 1
-    buf2 = buf.reshape(buf.shape[0], cols)
-    g2 = np.ascontiguousarray(g).reshape(r, cols)
-    if r < 64:
-        np.add.at(buf2, flat_idx, g2)
-        return
-    order = np.argsort(flat_idx, kind="stable")
-    sorted_idx = flat_idx[order]
-    sorted_g = g2[order]
-    starts = np.flatnonzero(np.r_[True, sorted_idx[1:] != sorted_idx[:-1]])
-    buf2[sorted_idx[starts]] += np.add.reduceat(sorted_g, starts, axis=0)
+    flat = idx.reshape(-1)
+    if flat.size == 0:
+        return flat.astype(np.intp)
+    m = operand.shape[0]
+    order = np.argsort(flat, kind="stable")
+    sorted_ids = flat[order]
+    starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
+    ids = sorted_ids[starts]
+    values = np.ones(flat.size, operand.dtype) if weights is None else weights.reshape(-1)[order]
+    # one CSR row per unique id, holding its entries in (i, j) order; the
+    # sparse-dense product sums each row sequentially in storage order
+    adjoint = csr_matrix((values, order // (flat.size // m), np.r_[starts, flat.size]), shape=(ids.size, m))
+    rows = buf.reshape(buf.shape[0], -1)
+    rows[ids] += adjoint @ operand.reshape(m, -1)
+    return ids
+
+
+def _row_ids(table: Tensor, idx, op: str) -> np.ndarray:
+    idx = np.asarray(idx)
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError(f"{op} needs integer indices, got dtype {idx.dtype}")
+    if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
+        raise IndexError(f"{op} index out of range [0, {table.data.shape[0]})")
+    return idx
+
+
+def _accum_rows(table: Tensor, idx: np.ndarray, operand: np.ndarray, weights: np.ndarray | None = None) -> None:
+    """Add a gathered table's adjoint (see scatter_add_into) as a row-sparse gradient."""
+    # np.zeros, not zeros_like: pages no row lands on are never written
+    buf = np.zeros(table.data.shape, dtype=table.data.dtype)
+    _accum(table, buf, scatter_add_into(buf, idx, operand, weights))
 
 
 def gather_rows(table: Tensor, idx) -> Tensor:
@@ -511,21 +531,58 @@ def gather_rows(table: Tensor, idx) -> Tensor:
     Backward scatter-adds into the table: rows never indexed keep a
     bitwise-zero gradient; rows indexed multiple times accumulate.
     """
-    idx = np.asarray(idx)
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise ValueError(f"gather_rows needs integer indices, got dtype {idx.dtype}")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
-        raise IndexError(f"gather_rows index out of range [0, {table.data.shape[0]})")
+    idx = _row_ids(table, idx, "gather_rows")
     out = Tensor(table.data[idx])
 
     def backward(g):
         if table.requires_grad:
-            if table.grad is None:
-                # np.zeros, not zeros_like: pages no row lands on are never written
-                table.grad = np.zeros(table.data.shape, dtype=table.data.dtype)
-            scatter_add_into(table.grad, idx, g)
+            _accum_rows(table, idx.reshape(-1), g.reshape((idx.size,) + table.data.shape[1:]))
 
     return _register(out, table.requires_grad, backward)
+
+
+def gather_dot(x: Tensor, table: Tensor, idx) -> Tensor:
+    """x [m,d] and rows idx [m,k] of table [n,d] -> [m,k]; out[i,j] = x[i] . table[idx[i,j]].
+
+    The table's adjoint adds g[i,j] * x[i] into row idx[i,j] through
+    scatter_add_into, with no [m,k,d] intermediate.
+    """
+    idx = _row_ids(table, idx, "gather_dot")
+    if x.data.ndim != 2 or table.data.ndim != 2 or idx.ndim != 2 or idx.shape[0] != x.data.shape[0] or x.data.shape[1] != table.data.shape[1]:
+        raise ValueError(f"gather_dot shape mismatch: x {x.data.shape}, table {table.data.shape}, idx {idx.shape}")
+    rows = table.data[idx]
+    count_macs(rows.size)
+    out = Tensor(np.einsum("md,mkd->mk", x.data, rows))
+
+    def backward(g):
+        if x.requires_grad:
+            _accum(x, np.einsum("mk,mkd->md", g, rows))
+        if table.requires_grad:
+            _accum_rows(table, idx, x.data, g)
+
+    return _register(out, x.requires_grad or table.requires_grad, backward)
+
+
+def gather_weighted_sum(w: Tensor, table: Tensor, idx) -> Tensor:
+    """w [m,k] and rows idx [m,k] of table [n,d] -> [m,d]; out[i] = sum_j w[i,j] * table[idx[i,j]].
+
+    The table's adjoint adds w[i,j] * g[i] into row idx[i,j] through
+    scatter_add_into, with no [m,k,d] intermediate.
+    """
+    idx = _row_ids(table, idx, "gather_weighted_sum")
+    if w.data.ndim != 2 or table.data.ndim != 2 or w.data.shape != idx.shape:
+        raise ValueError(f"gather_weighted_sum shape mismatch: w {w.data.shape}, table {table.data.shape}, idx {idx.shape}")
+    rows = table.data[idx]
+    count_macs(rows.size)
+    out = Tensor(np.einsum("mk,mkd->md", w.data, rows))
+
+    def backward(g):
+        if w.requires_grad:
+            _accum(w, np.einsum("md,mkd->mk", g, rows))
+        if table.requires_grad:
+            _accum_rows(table, idx, g, w.data)
+
+    return _register(out, w.requires_grad or table.requires_grad, backward)
 
 
 def scatter_rows_add(base: Tensor, idx, rows: Tensor) -> Tensor:
@@ -544,38 +601,6 @@ def scatter_rows_add(base: Tensor, idx, rows: Tensor) -> Tensor:
             _accum(rows, g[idx])
 
     return _register(out, base.requires_grad or rows.requires_grad, backward)
-
-
-def batched_dot(x: Tensor, rows: Tensor) -> Tensor:
-    """x [m,d] with rows [m,k,d] -> [m,k]; out[m,k] = x[m] . rows[m,k]."""
-    if x.data.ndim != 2 or rows.data.ndim != 3 or x.data.shape[0] != rows.data.shape[0] or x.data.shape[1] != rows.data.shape[2]:
-        raise ValueError(f"batched_dot shape mismatch: {x.data.shape} vs {rows.data.shape}")
-    count_macs(rows.data.shape[0] * rows.data.shape[1] * rows.data.shape[2])
-    out = Tensor(np.einsum("md,mkd->mk", x.data, rows.data))
-
-    def backward(g):
-        if x.requires_grad:
-            _accum(x, np.einsum("mk,mkd->md", g, rows.data))
-        if rows.requires_grad:
-            _accum(rows, np.einsum("mk,md->mkd", g, x.data))
-
-    return _register(out, x.requires_grad or rows.requires_grad, backward)
-
-
-def batched_weighted_sum(w: Tensor, rows: Tensor) -> Tensor:
-    """w [m,k] with rows [m,k,d] -> [m,d]; out[m] = sum_k w[m,k] * rows[m,k]."""
-    if w.data.ndim != 2 or rows.data.ndim != 3 or w.data.shape != rows.data.shape[:2]:
-        raise ValueError(f"batched_weighted_sum shape mismatch: {w.data.shape} vs {rows.data.shape}")
-    count_macs(rows.data.shape[0] * rows.data.shape[1] * rows.data.shape[2])
-    out = Tensor(np.einsum("mk,mkd->md", w.data, rows.data))
-
-    def backward(g):
-        if w.requires_grad:
-            _accum(w, np.einsum("md,mkd->mk", g, rows.data))
-        if rows.requires_grad:
-            _accum(rows, np.einsum("mk,md->mkd", w.data, g))
-
-    return _register(out, w.requires_grad or rows.requires_grad, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -695,11 +720,14 @@ def top_k(values, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k over the last axis, ordered by (value desc, index asc).
 
     Equal values resolve to the smaller index, so results are deterministic
-    and equal to a stable sort on the negated values. Rows long compared with
-    k are narrowed to k survivors by partial selection, and only those are
-    ordered; a row whose k-th largest value is shared across the cut (or that
-    holds a NaN) takes the full stable sort instead. Accepts a Tensor or
-    ndarray; returns (indices, values) as ndarrays.
+    and equal to a stable sort on the negated values. On rows long compared
+    with k, a float k <= 8 takes k passes of argmax, each masking its winner
+    to -inf (argmax returns the first maximum, so ties go to the lower id);
+    a larger k is narrowed to k survivors by partial selection, and only
+    those are ordered. A row where either shortcut can go wrong (a NaN, a
+    k-th pick of -inf, or a k-th value shared across the cut) takes the full
+    stable sort instead. Accepts a Tensor or ndarray; returns
+    (indices, values) as ndarrays.
     """
     v = values.data if isinstance(values, Tensor) else np.asarray(values)
     if v.ndim == 0 or v.shape[-1] == 0:
@@ -710,20 +738,32 @@ def top_k(values, k: int) -> tuple[np.ndarray, np.ndarray]:
     if n < 8 * k:
         idx = np.argsort(-v, axis=-1, kind="stable")[..., :k]
         return idx, np.take_along_axis(v, idx, axis=-1)
-    # the k largest in any order (NaN counts as largest here), then ids ascending
-    idx = np.sort(np.argpartition(v, n - k, axis=-1)[..., n - k :], axis=-1)
-    vals = np.take_along_axis(v, idx, axis=-1)
-    kth = vals.min(axis=-1, keepdims=True)
-    # the survivors are exactly the values >= the k-th unless it is tied
-    # across the cut; a NaN makes kth NaN or leaves a survivor uncounted
-    straddle = np.count_nonzero(v >= kth, axis=-1) != k
-    order = np.argsort(-vals, axis=-1, kind="stable")
-    idx = np.take_along_axis(idx, order, axis=-1)
-    if straddle.any():
+    if k <= 8 and np.issubdtype(v.dtype, np.floating):
+        masked = v.copy()
+        idx = np.empty(v.shape[:-1] + (k,), dtype=np.intp)
+        for j in range(k):
+            if j:
+                np.put_along_axis(masked, idx[..., j - 1 : j], -np.inf, axis=-1)
+            idx[..., j] = masked.argmax(axis=-1)
+        # a NaN wins argmax; once the max left is -inf (the k-th pick is the
+        # smallest), argmax may return an id picked before
+        last = np.take_along_axis(masked, idx[..., -1:], axis=-1)[..., 0]
+        fallback = np.isnan(np.take_along_axis(v, idx, axis=-1)).any(axis=-1) | (last == -np.inf)
+    else:
+        # the k largest in any order (NaN counts as largest here), then ids ascending
+        idx = np.sort(np.argpartition(v, n - k, axis=-1)[..., n - k :], axis=-1)
+        vals = np.take_along_axis(v, idx, axis=-1)
+        kth = vals.min(axis=-1, keepdims=True)
+        # the survivors are exactly the values >= the k-th unless it is tied
+        # across the cut; a NaN makes kth NaN or leaves a survivor uncounted
+        fallback = np.count_nonzero(v >= kth, axis=-1) != k
+        order = np.argsort(-vals, axis=-1, kind="stable")
+        idx = np.take_along_axis(idx, order, axis=-1)
+    if fallback.any():
         if v.ndim == 1:
             idx = np.argsort(-v, kind="stable")[:k]
         else:
-            idx[straddle] = np.argsort(-v[straddle], axis=-1, kind="stable")[..., :k]
+            idx[fallback] = np.argsort(-v[fallback], axis=-1, kind="stable")[..., :k]
     return idx, np.take_along_axis(v, idx, axis=-1)
 
 
@@ -748,7 +788,7 @@ def grad_check_detail(f, named_params: dict, step: float = 1e-5, max_coords: int
     for p in params:
         if not p.requires_grad:
             raise ValueError("grad_check parameters must have requires_grad=True")
-        p.grad = None
+        p.zero_grad()
     with Tape() as tape:
         out = f()
         if not isinstance(out, Tensor) or out.data.ndim != 0:

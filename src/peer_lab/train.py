@@ -69,8 +69,9 @@ def _live_rows(name: str, p: Tensor, m: np.ndarray, v: np.ndarray, live: dict[st
 
     On a row whose gradient and moments are all zero, Adam leaves the
     parameter and both moments bitwise unchanged, so only rows with a nonzero
-    gradient or nonzero moments need the update. Tables read through
-    `gather_rows` have few such rows; dense gradients make every row live.
+    gradient or nonzero moments need the update. A table read only through
+    gathered rows names the rows its gradient covers (`p.grad_ids`); any
+    other gradient is scanned for rows with a bit set.
     """
     if p.data.ndim < 2:
         return None
@@ -78,7 +79,10 @@ def _live_rows(name: str, p: Tensor, m: np.ndarray, v: np.ndarray, live: dict[st
     if mask is None:
         mask = live[name] = _nonzero_rows(m) | _nonzero_rows(v)
     if p.grad is not None:
-        mask |= _nonzero_rows(p.grad)
+        if p.grad_ids is None:
+            mask |= _nonzero_rows(p.grad)
+        else:
+            mask[p.grad_ids] = True
     rows = np.flatnonzero(mask)
     return rows if 2 * rows.size <= mask.size else None
 

@@ -2,7 +2,27 @@ import numpy as np
 import pytest
 
 from peer_lab.config import default_config, format_config, parse_config
-from peer_lab.data import Corpus, synthetic_text
+from peer_lab.data import _WORDS, Corpus, synthetic_text
+
+
+def synthetic_text_per_sentence_choice(n_bytes: int, seed: int = 0) -> bytes:
+    """The generator as first written: one rng.choice(p=...) per sentence."""
+    rng = np.random.default_rng(seed)
+    ranks = np.arange(1, len(_WORDS) + 1, dtype=np.float64)
+    weights = 1.0 / ranks
+    weights /= weights.sum()
+    pieces: list[str] = []
+    size = 0
+    while size < n_bytes:
+        sent_len = int(rng.integers(4, 13))
+        words = [_WORDS[i] for i in rng.choice(len(_WORDS), size=sent_len, p=weights)]
+        words[0] = words[0].capitalize()
+        sentence = " ".join(words) + ". "
+        if rng.random() < 0.08:
+            sentence += "\n\n"
+        pieces.append(sentence)
+        size += len(sentence)
+    return "".join(pieces).encode("ascii")[:n_bytes]
 
 
 class TestConfig:
@@ -52,6 +72,12 @@ class TestCorpus:
         b = synthetic_text(5000, seed=1)
         assert a == b and len(a) == 5000
         assert synthetic_text(5000, seed=2) != a
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 21])
+    @pytest.mark.parametrize("n_bytes", [1, 9, 5000, 200_000])
+    def test_synthetic_bytes_equal_per_sentence_choice(self, seed, n_bytes):
+        # 1 and 9 bytes end inside the first sentence
+        assert synthetic_text(n_bytes, seed) == synthetic_text_per_sentence_choice(n_bytes, seed)
 
     def test_synthetic_is_texty(self):
         text = synthetic_text(20000, seed=0).decode("ascii")

@@ -344,18 +344,28 @@ def _case_scatter(rng):
     return lambda: T.sum_all(T.mul(T.scatter_rows_add(base, idx, rows), w)), [base, rows]
 
 
-def _case_batched_dot(rng):
+def _gathered_ids(rng):
+    # 4 tokens x 3 rows of a 5-row table: ids repeat across tokens, and
+    # token 0 names one row twice (two experts sharing a sub-key)
+    idx = rng.integers(0, 5, size=(4, 3))
+    idx[0, 1] = idx[0, 0]
+    return idx
+
+
+def _case_gather_dot(rng):
     x = rand(rng, 4, 6)
-    rows = rand(rng, 4, 3, 6)
+    table = rand(rng, 5, 6)
+    idx = _gathered_ids(rng)
     w = Tensor(rng.normal(size=(4, 3)))
-    return lambda: T.sum_all(T.mul(T.batched_dot(x, rows), w)), [x, rows]
+    return lambda: T.sum_all(T.mul(T.gather_dot(x, table, idx), w)), [x, table]
 
 
-def _case_batched_weighted_sum(rng):
+def _case_gather_weighted_sum(rng):
     wts = rand(rng, 4, 3)
-    rows = rand(rng, 4, 3, 6)
+    table = rand(rng, 5, 6)
+    idx = _gathered_ids(rng)
     w = Tensor(rng.normal(size=(4, 6)))
-    return lambda: T.sum_all(T.mul(T.batched_weighted_sum(wts, rows), w)), [wts, rows]
+    return lambda: T.sum_all(T.mul(T.gather_weighted_sum(wts, table, idx), w)), [wts, table]
 
 
 def _case_cross_entropy(rng):
@@ -393,8 +403,8 @@ OP_CASES = {
     "layer_norm": _case_layer_norm,
     "gather_rows": _case_gather,
     "scatter_rows_add": _case_scatter,
-    "batched_dot": _case_batched_dot,
-    "batched_weighted_sum": _case_batched_weighted_sum,
+    "gather_dot": _case_gather_dot,
+    "gather_weighted_sum": _case_gather_weighted_sum,
     "cross_entropy": _case_cross_entropy,
     "slices_concat": _case_slices_concat,
     "permute": _case_permute,

@@ -90,3 +90,40 @@ def test_batched_retrieval_equals_exhaustive_on_integer_keys(data):
         assert np.array_equal(ids[r], ref.indices)
         assert np.array_equal(scores[r], ref.scores)
         assert np.array_equal(retrieve_topk(index, queries[r], k).indices, ref.indices)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_small_k_on_long_rows_with_infinities_and_nan(data):
+    # k <= 8 on rows of at least 8k values takes the argmax passes; -inf at or
+    # above the cut (an id can repeat once -inf is picked), +inf and NaN rows
+    # must come out as the stable sort does
+    k = data.draw(st.integers(1, 8), label="k")
+    n = data.draw(st.integers(8 * k, 8 * k + 40), label="n")
+    rows = data.draw(st.integers(1, 4), label="rows")
+    dtype = data.draw(DTYPES, label="dtype")
+    v = data.draw(hnp.arrays(dtype, (rows, n), elements=ELEMENTS), label="v")
+    finite = data.draw(st.integers(0, k + 1), label="finite values in row 0")
+    v[0, finite:] = -np.inf
+    for arr in (v, v[0]):
+        idx, vals = top_k(arr, k)
+        ref_idx, ref_vals = reference(arr, k)
+        assert same_bits(idx, ref_idx)
+        assert same_bits(vals, ref_vals)
+
+
+def test_small_k_on_wide_rows_with_infinities_and_nan():
+    rng = np.random.default_rng(1)
+    for dtype in (np.float32, np.float64):
+        v = rng.normal(size=(32, 1024)).astype(dtype)
+        v[0, 3:] = -np.inf  # 3 finite values: -inf reaches the cut for k >= 4
+        v[1, :] = -np.inf
+        v[2, 500] = np.inf
+        v[3, 9] = np.nan
+        v[4, ::2] = np.nan
+        v[5] = np.round(v[5])  # integer-valued: ties everywhere
+        for k in range(1, 9):
+            idx, vals = top_k(v, k)
+            ref_idx, ref_vals = reference(v, k)
+            assert same_bits(idx, ref_idx), k
+            assert same_bits(vals, ref_vals), k
