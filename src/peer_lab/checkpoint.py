@@ -3,11 +3,16 @@
 Record layout (little-endian): dtype tag u8, rank u32, one u64 per
 dimension, then the raw element bytes. Container layout: magic "PEERCKPT",
 format version u32, entry count u32, then per entry a u32 name length, the
-utf-8 name, and a tensor record.
+utf-8 name, and a tensor record. A save writes a temporary file beside the
+target and renames it over the target, so a run killed mid-save keeps its
+last checkpoint. A load rejects a file that ends inside a record or has
+bytes after the last one.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -34,18 +39,27 @@ def write_tensor_record(arr: np.ndarray) -> bytes:
     return head + dims + arr.astype(_TAG_TO_DTYPE[tag], copy=False).tobytes()
 
 
+def _take(buf: bytes, offset: int, nbytes: int, what: str) -> int:
+    """Check that `nbytes` of `what` fit at `offset`; returns the offset after them."""
+    end = offset + nbytes
+    if end > len(buf):
+        raise ValueError(f"{what} at byte {offset} needs {nbytes} bytes, but the buffer ends at byte {len(buf)}")
+    return end
+
+
 def read_tensor_record(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
+    """Decode the record at `offset`; returns the array and the offset after it."""
+    dims_at = _take(buf, offset, 5, "tensor header")
     tag, rank = struct.unpack_from("<BI", buf, offset)
-    offset += 5
     if tag not in _TAG_TO_DTYPE:
-        raise ValueError(f"unknown tensor dtype tag {tag}")
-    shape = struct.unpack_from(f"<{rank}Q", buf, offset) if rank else ()
-    offset += 8 * rank
+        raise ValueError(f"unknown tensor dtype tag {tag} at byte {offset}")
+    data_at = _take(buf, dims_at, 8 * rank, "tensor shape")
+    shape = struct.unpack_from(f"<{rank}Q", buf, dims_at) if rank else ()
     dt = np.dtype(_TAG_TO_DTYPE[tag])
-    count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-    nbytes = count * dt.itemsize
-    arr = np.frombuffer(buf, dtype=dt, count=count, offset=offset).reshape(shape).copy()
-    return arr, offset + nbytes
+    count = math.prod(shape)
+    end = _take(buf, data_at, count * dt.itemsize, f"tensor data of shape {shape}")
+    arr = np.frombuffer(buf, dtype=dt, count=count, offset=data_at).reshape(shape).copy()
+    return arr, end
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
@@ -55,8 +69,14 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
         parts.append(struct.pack("<I", len(encoded)))
         parts.append(encoded)
         parts.append(write_tensor_record(np.asarray(arr)))
-    with open(path, "wb") as f:
-        f.write(b"".join(parts))
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(b"".join(parts))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
@@ -64,15 +84,22 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         buf = f.read()
     if buf[: len(MAGIC)] != MAGIC:
         raise ValueError(f"not a checkpoint file: bad magic {buf[: len(MAGIC)]!r}")
+    offset = _take(buf, len(MAGIC), 8, f"checkpoint {path} header")
     version, count = struct.unpack_from("<II", buf, len(MAGIC))
     if version != VERSION:
         raise ValueError(f"unsupported checkpoint version {version} (expected {VERSION})")
-    offset = len(MAGIC) + 8
     tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", buf, offset)
-        offset += 4
-        name = buf[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        tensors[name], offset = read_tensor_record(buf, offset)
+    for i in range(count):
+        entry, name = offset, None
+        try:
+            offset = _take(buf, offset, 4, "name length")
+            (name_len,) = struct.unpack_from("<I", buf, entry)
+            name_at, offset = offset, _take(buf, offset, name_len, "name")
+            name = buf[name_at:offset].decode("utf-8")
+            tensors[name], offset = read_tensor_record(buf, offset)
+        except ValueError as e:
+            label = f"entry {i} of {count}" + ("" if name is None else f" ({name!r})")
+            raise ValueError(f"checkpoint {path}: {label}, starting at byte {entry}: {e}") from None
+    if offset != len(buf):
+        raise ValueError(f"checkpoint {path}: {len(buf) - offset} bytes left over after the last entry, at byte {offset}")
     return tensors

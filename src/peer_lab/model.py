@@ -88,7 +88,6 @@ class Block:
     def __init__(self, index: int, d_model: int, n_heads: int, ffw, rng: np.random.Generator, dtype):
         self.index = index
         self.n_heads = n_heads
-        self.head_dim = d_model // n_heads
         std = 1.0 / math.sqrt(d_model)
         self.ln1_scale = Tensor(np.ones(d_model, dtype=dtype), requires_grad=True)
         self.ln1_shift = Tensor(np.zeros(d_model, dtype=dtype), requires_grad=True)
@@ -117,17 +116,9 @@ class Block:
 
     def attend(self, x: Tensor, mask: Tensor) -> Tensor:
         b, t, d = x.data.shape
-        nh, hd = self.n_heads, self.head_dim
         x2 = T.reshape(x, (b * t, d))
-        heads = []
-        for w in (self.wq, self.wk, self.wv):
-            proj = T.reshape(T.matmul(x2, w), (b, t, nh, hd))
-            heads.append(T.reshape(T.permute(proj, (0, 2, 1, 3)), (b * nh, t, hd)))
-        q, k, v = heads
-        scores = T.scale(T.bmm(q, k, transpose_b=True), 1.0 / math.sqrt(hd))
-        att = T.softmax(T.add(scores, mask))
-        out = T.bmm(att, v)
-        out = T.reshape(T.permute(T.reshape(out, (b, nh, t, hd)), (0, 2, 1, 3)), (b * t, d))
+        q, k, v = (T.reshape(T.matmul(x2, w), (b, t, d)) for w in (self.wq, self.wk, self.wv))
+        out = T.reshape(T.causal_attention(q, k, v, self.n_heads, mask), (b * t, d))
         return T.reshape(T.matmul(out, self.wo), (b, t, d))
 
     def forward(self, x: Tensor, mask: Tensor, mode: str, collect_routing: bool = False):

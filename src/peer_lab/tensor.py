@@ -279,24 +279,74 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _register(out, a.requires_grad or b.requires_grad, backward)
 
 
-def bmm(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
-    """Batched matmul: a [g,m,p] @ b [g,p,n] (or b [g,n,p] with transpose_b)."""
-    if a.data.ndim != 3 or b.data.ndim != 3:
-        raise ValueError(f"bmm expects 3-d operands, got shapes {a.data.shape} and {b.data.shape}")
-    bd = b.data.swapaxes(1, 2) if transpose_b else b.data
-    if a.data.shape[0] != b.data.shape[0] or a.data.shape[2] != bd.shape[1]:
-        raise ValueError(f"bmm shape mismatch: {a.data.shape} x {b.data.shape} (transpose_b={transpose_b})")
-    count_macs(a.data.shape[0] * a.data.shape[1] * a.data.shape[2] * bd.shape[2])
-    out = Tensor(np.matmul(a.data, bd))
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: Tensor) -> Tensor:
+    """Multi-head softmax attention over q, k, v [b,t,d] with an additive [t,t] mask -> [b,t,d].
+
+    Head h reads and writes columns h*hd:(h+1)*hd (hd = d // n_heads):
+    out = softmax(q k^T / sqrt(hd) + mask) v, one (sequence, head) pair at
+    a time, so a pair's [t,t] scores stay in cache and no head is copied
+    out. Every value comes from the same operations on the same operands as
+    the unfused chain (batched q k^T, scale, add mask, softmax, batched
+    p v, and their adjoints), so results match it bit for bit; the one
+    exception is dk and dv of one-column heads (hd = 1 < d) over several
+    sequences, where the chain read contiguous copies and BLAS's
+    matrix-vector product sums a strided vector in another order. The
+    probabilities are kept, in one [b,heads,t,t] buffer, only while a tape
+    records the op.
+    """
+    qd, kd, vd, m = q.data, k.data, v.data, mask.data
+    if qd.ndim != 3:
+        raise ValueError(f"causal_attention expects q, k, v [b,t,d], got q shape {qd.shape}")
+    if kd.shape != qd.shape or vd.shape != qd.shape or not qd.dtype == kd.dtype == vd.dtype:
+        raise ValueError(f"causal_attention needs q, k, v of one shape and dtype, got {qd.shape} {qd.dtype}, {kd.shape} {kd.dtype}, {vd.shape} {vd.dtype}")
+    b, t, d = qd.shape
+    if n_heads < 1 or d % n_heads != 0:
+        raise ValueError(f"causal_attention: d={d} is not divisible into {n_heads} heads")
+    if m.shape != (t, t):
+        raise ValueError(f"causal_attention mask must be [{t},{t}], got shape {m.shape}")
+    hd = d // n_heads
+    c = 1.0 / math.sqrt(hd)
+    heads = [slice(h * hd, (h + 1) * hd) for h in range(n_heads)]
+    count_macs(2 * b * n_heads * t * t * hd)  # q k^T, then p v
+    needs_grad = q.requires_grad or k.requires_grad or v.requires_grad
+    probs = np.empty((b, n_heads, t, t), qd.dtype) if needs_grad and _active_tape() is not None else None
+    scratch = np.empty((t, t), qd.dtype) if probs is None else None
+    out = np.empty(qd.shape, qd.dtype)
+    for i in range(b):
+        for h, cols in enumerate(heads):
+            s = scratch if probs is None else probs[i, h]
+            np.matmul(qd[i, :, cols], kd[i, :, cols].T, out=s)
+            # scale, add the mask, softmax: in place, with the chain's bits
+            s *= c
+            s += m
+            s -= s.max(axis=-1, keepdims=True)
+            np.exp(s, out=s)
+            s /= s.sum(axis=-1, keepdims=True)
+            np.matmul(s, vd[i, :, cols], out=out[i, :, cols])
 
     def backward(g):
-        if a.requires_grad:
-            _accum(a, np.matmul(g, bd.swapaxes(1, 2)))
-        if b.requires_grad:
-            gb = np.matmul(a.data.swapaxes(1, 2), g)
-            _accum(b, gb.swapaxes(1, 2) if transpose_b else gb)
+        dq, dk, dv = (np.empty(qd.shape, qd.dtype) if x.requires_grad else None for x in (q, k, v))
+        dp, kt = np.empty((t, t), qd.dtype), np.empty((hd, t), qd.dtype)
+        for i in range(b):
+            for h, cols in enumerate(heads):
+                p, g_ih = probs[i, h], g[i, :, cols]
+                if dv is not None:
+                    np.matmul(p.T, g_ih, out=dv[i, :, cols])
+                if dq is None and dk is None:
+                    continue
+                np.matmul(g_ih, vd[i, :, cols].T, out=dp)
+                dp -= (dp * p).sum(axis=-1, keepdims=True)
+                dp *= p
+                dp *= c
+                if dq is not None:
+                    np.matmul(dp, kd[i, :, cols], out=dq[i, :, cols])
+                if dk is not None:
+                    dk[i, :, cols] = np.matmul(qd[i, :, cols].T, dp, out=kt).T
+        for x, gx in ((q, dq), (k, dk), (v, dv)):
+            if gx is not None:
+                _accum(x, gx)
 
-    return _register(out, a.requires_grad or b.requires_grad, backward)
+    return _register(Tensor(out), needs_grad, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -312,24 +362,6 @@ def reshape(a: Tensor, shape) -> Tensor:
             _accum(a, g.reshape(a.data.shape))
 
     return _register(out, a.requires_grad, backward)
-
-
-def permute(a: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    out = Tensor(np.transpose(a.data, axes))
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, np.transpose(g, inv))
-
-    return _register(out, a.requires_grad, backward)
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ValueError(f"transpose expects a 2-d tensor, got shape {a.data.shape}")
-    return permute(a, (1, 0))
 
 
 def col_slice(a: Tensor, start: int, stop: int) -> Tensor:

@@ -15,8 +15,9 @@ from peer_lab.analysis import (
     param_counts,
 )
 from peer_lab.baselines import DenseConfig, DenseFFW, ExpertChoiceMoE, MoeConfig, PkmConfig, PkmLayer
-from peer_lab.model import ModelConfig
+from peer_lab.model import Model, ModelConfig
 from peer_lab.peer import PeerConfig, PeerLayer
+from peer_lab.tensor import MacMeter
 
 
 class TestParamCounts:
@@ -98,6 +99,14 @@ class TestMacPerToken:
         mc = ModelConfig(n_blocks=2, d_model=16, n_attn_heads=2, d_ff=32, seq_len=32)
         per_token = model_param_macs_per_token(mc) + 2 * 2 * 32 * 16
         assert analysis.model_train_step_macs(mc, batch=4) == 3 * per_token * 4 * 32
+
+    @pytest.mark.parametrize("kind,expected", [("dense", 1310720), ("peer", 6496256), ("pkm", 6463488), ("moe", 1449984)])
+    def test_metered_forward_equals_budget(self, kind, expected):
+        mc = ModelConfig(n_blocks=2, d_model=16, n_attn_heads=2, d_ff=32, seq_len=32, middle_layer=kind)
+        tokens = np.random.default_rng(0).integers(0, 256, size=(4, 32))
+        with MacMeter() as meter:
+            Model(mc).forward(tokens)
+        assert meter.total == analysis.model_train_step_macs(mc, batch=4) // analysis.TRAIN_STEP_MULTIPLIER == expected
 
 
 class TestUsageMetrics:

@@ -77,3 +77,52 @@ class TestContainer:
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, {"w": arr})
         assert np.array_equal(load_checkpoint(path)["w"], arr)
+
+
+class TestDamagedFiles:
+    TENSORS = {
+        "w": np.arange(6, dtype=np.float32).reshape(2, 3),
+        "train.step": np.asarray(5, dtype=np.int64),
+        "meta.config": np.frombuffer(b"a=1\n", dtype=np.uint8),
+    }
+
+    def test_every_cut_point_raises(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, self.TENSORS)
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.bin"
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(ValueError):
+                load_checkpoint(cut)
+
+    def test_cut_inside_a_record_names_the_entry_and_offset(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, self.TENSORS)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) - 1])
+        with pytest.raises(ValueError, match=r"entry 2 of 3 \('meta.config'\), starting at byte \d+: tensor data"):
+            load_checkpoint(path)
+
+    def test_trailing_byte_raises(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, self.TENSORS)
+        raw = path.read_bytes()
+        path.write_bytes(raw + b"\x00")
+        with pytest.raises(ValueError, match=f"1 bytes left over after the last entry, at byte {len(raw)}"):
+            load_checkpoint(path)
+
+    def test_failed_replace_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, self.TENSORS)
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("peer_lab.checkpoint.os.replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, {"w": np.zeros(3)})
+        loaded = load_checkpoint(path)
+        assert list(loaded) == list(self.TENSORS)
+        assert all(np.array_equal(loaded[k], v) for k, v in self.TENSORS.items())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin"]

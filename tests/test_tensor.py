@@ -300,10 +300,11 @@ def _case_matmul(rng):
     return lambda: T.sum_all(T.mul(T.matmul(a, b), w)), [a, b]
 
 
-def _case_bmm(rng):
-    a, b = rand(rng, 2, 3, 4), rand(rng, 2, 5, 4)
-    w = Tensor(rng.normal(size=(2, 3, 5)))
-    return lambda: T.sum_all(T.mul(T.bmm(a, b, transpose_b=True), w)), [a, b]
+def _case_causal_attention(rng):
+    q, k, v = rand(rng, 2, 3, 4), rand(rng, 2, 3, 4), rand(rng, 2, 3, 4)
+    mask = Tensor(np.triu(np.full((3, 3), -1e30), k=1))
+    w = Tensor(rng.normal(size=(2, 3, 4)))
+    return lambda: T.sum_all(T.mul(T.causal_attention(q, k, v, 2, mask), w)), [q, k, v]
 
 
 def _case_softmax(rng):
@@ -383,18 +384,12 @@ def _case_slices_concat(rng):
     )
 
 
-def _case_permute(rng):
-    a = rand(rng, 2, 3, 4)
-    w = Tensor(rng.normal(size=(4, 2, 3)))
-    return lambda: T.sum_all(T.mul(T.permute(a, (2, 0, 1)), w)), [a]
-
-
 OP_CASES = {
     "add": lambda rng: _case_elementwise(rng, T.add),
     "sub": lambda rng: _case_elementwise(rng, T.sub),
     "mul": lambda rng: _case_elementwise(rng, T.mul),
     "matmul": _case_matmul,
-    "bmm": _case_bmm,
+    "causal_attention": _case_causal_attention,
     "relu": lambda rng: _case_unary(rng, T.relu, low=0.05),
     "gelu": lambda rng: _case_unary(rng, T.gelu),
     "sigmoid": lambda rng: _case_unary(rng, T.sigmoid),
@@ -407,7 +402,6 @@ OP_CASES = {
     "gather_weighted_sum": _case_gather_weighted_sum,
     "cross_entropy": _case_cross_entropy,
     "slices_concat": _case_slices_concat,
-    "permute": _case_permute,
 }
 
 
