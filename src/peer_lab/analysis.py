@@ -43,6 +43,12 @@ def _bn_numel(query_dim: int) -> int:
     return 4 * query_dim
 
 
+def _router_numel(cfg) -> int:
+    """Sub-keys, query nets and query BN of a PEER or PKM router."""
+    total = 2 * math.isqrt(cfg.n_keys) * (cfg.query_dim // 2) + cfg.heads * cfg.d_model * cfg.query_dim
+    return total + (_bn_numel(cfg.query_dim) if cfg.query_bn else 0)
+
+
 def param_counts(cfg, bias_accounting: bool = True) -> ParamCounts:
     """Exact serialized-size totals plus the active/expert accounting.
 
@@ -55,12 +61,7 @@ def param_counts(cfg, bias_accounting: bool = True) -> ParamCounts:
         per_neuron = 2 * cfg.d_model + (1 if bias_accounting else 0)
         expert = per_neuron  # d_expert = 1
         active = per_neuron * cfg.heads * cfg.topk
-        total = cfg.n_experts * (3 if cfg.glu else 2) * cfg.d_model
-        sqrt_n = math.isqrt(cfg.n_experts)
-        total += 2 * sqrt_n * (cfg.query_dim // 2)  # sub-keys
-        total += cfg.heads * cfg.d_model * cfg.query_dim  # query nets
-        if cfg.query_bn:
-            total += _bn_numel(cfg.query_dim)
+        total = cfg.n_experts * (3 if cfg.glu else 2) * cfg.d_model + _router_numel(cfg)
         return ParamCounts(total=total, active=active, expert=expert, granularity=active / expert)
     if isinstance(cfg, DenseConfig):
         total = 2 * cfg.d_model * cfg.d_ff
@@ -68,12 +69,7 @@ def param_counts(cfg, bias_accounting: bool = True) -> ParamCounts:
     if isinstance(cfg, PkmConfig):
         expert = cfg.d_model  # one constant memory vector
         active = expert * cfg.heads * cfg.topk
-        total = cfg.n_memories * cfg.d_model
-        sqrt_n = math.isqrt(cfg.n_memories)
-        total += 2 * sqrt_n * (cfg.query_dim // 2)
-        total += cfg.heads * cfg.d_model * cfg.query_dim
-        if cfg.query_bn:
-            total += _bn_numel(cfg.query_dim)
+        total = cfg.n_memories * cfg.d_model + _router_numel(cfg)
         return ParamCounts(total=total, active=active, expert=expert, granularity=active / expert)
     if isinstance(cfg, MoeConfig):
         expert = 2 * cfg.d_model * cfg.d_ff
@@ -88,19 +84,20 @@ def param_counts(cfg, bias_accounting: bool = True) -> ParamCounts:
 # ---------------------------------------------------------------------------
 
 
+def _router_macs(cfg) -> int:
+    """Per token and head of a PEER or PKM router: the query net, both
+    sides' sub-key scores and the k^2 candidate sums."""
+    return cfg.heads * (cfg.d_model * cfg.query_dim + math.isqrt(cfg.n_keys) * cfg.query_dim + cfg.topk * cfg.topk)
+
+
 def mac_per_token(cfg) -> int:
     """Parameter-touching multiply-accumulates per token for one layer."""
     if isinstance(cfg, PeerConfig):
-        sqrt_n = math.isqrt(cfg.n_experts)
-        retrieval = sqrt_n * cfg.query_dim + cfg.topk * cfg.topk
-        experts = (3 if cfg.glu else 2) * cfg.d_model * cfg.heads * cfg.topk
-        return cfg.heads * (cfg.d_model * cfg.query_dim + retrieval) + experts
+        return _router_macs(cfg) + (3 if cfg.glu else 2) * cfg.d_model * cfg.heads * cfg.topk
     if isinstance(cfg, DenseConfig):
         return 2 * cfg.d_model * cfg.d_ff
     if isinstance(cfg, PkmConfig):
-        sqrt_n = math.isqrt(cfg.n_memories)
-        retrieval = sqrt_n * cfg.query_dim + cfg.topk * cfg.topk
-        return cfg.heads * (cfg.d_model * cfg.query_dim + retrieval) + cfg.d_model * cfg.topk * cfg.heads
+        return _router_macs(cfg) + cfg.d_model * cfg.topk * cfg.heads
     if isinstance(cfg, MoeConfig):
         return cfg.d_model * cfg.n_experts + cfg.granularity * 2 * cfg.d_model * cfg.d_ff
     raise TypeError(f"unsupported layer config type {type(cfg).__name__}")

@@ -11,8 +11,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .peer import PeerRouting, _flatten_tokens
-from .product_keys import OpCounter, ProductKeyIndex, build_index, retrieve_topk_batch
+# retrieve_topk_batch is not called here; it stays bound in this module,
+# where tools that time the layers (perfbench/spans.py) look for it.
+from .product_keys import (  # noqa: F401
+    PeerRouting,
+    ProductKeyIndex,
+    ProductKeyLayer,
+    RouterConfig,
+    retrieve_topk_batch,
+)
 from .tensor import BNState, Tensor
 
 
@@ -53,12 +60,12 @@ class DenseFFW:
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         pass
 
-    def forward(self, x: Tensor, mode: str = "infer", collect_routing: bool = False, counter: OpCounter | None = None):
+    def forward(self, x: Tensor, mode: str = "infer", collect_routing: bool = False):
         return dense_forward(self, x), None
 
 
 def dense_forward(layer: DenseFFW, x: Tensor) -> Tensor:
-    x2, in_shape = _flatten_tokens(x)
+    x2, in_shape = T.flatten_tokens(x)
     act = T.ACTIVATIONS[layer.config.activation]
     y = T.matmul(act(T.matmul(x2, layer.w_in)), layer.w_out)
     if len(in_shape) == 3:
@@ -72,7 +79,7 @@ def dense_forward(layer: DenseFFW, x: Tensor) -> Tensor:
 
 
 @dataclass
-class PkmConfig:
+class PkmConfig(RouterConfig):
     n_memories: int = 4096
     heads: int = 4
     topk: int = 4
@@ -81,37 +88,21 @@ class PkmConfig:
     score_norm: str = "softmax_per_head"
     query_bn: bool = True
 
-    def __post_init__(self):
-        sqrt_n = math.isqrt(int(self.n_memories))
-        if sqrt_n * sqrt_n != self.n_memories:
-            raise ValueError(f"n_memories must be a perfect square, got {self.n_memories}")
-        if not 1 <= self.topk <= sqrt_n:
-            raise ValueError(f"topk must be in [1, sqrt(n_memories)={sqrt_n}], got {self.topk}")
-        if self.query_dim % 2 != 0:
-            raise ValueError(f"query_dim must be even, got {self.query_dim}")
+    keys_field = "n_memories"
 
 
-class PkmLayer:
+class PkmLayer(ProductKeyLayer):
     """Same router as PEER, but the retrieved payloads are constant vectors."""
 
+    prefix = "pkm"
+
     def __init__(self, config: PkmConfig, index: ProductKeyIndex, query_nets: list[Tensor], bn: BNState | None, values: Tensor):
-        if index.n_experts != config.n_memories or index.key_dim != config.query_dim:
-            raise ValueError("index does not match PKM config")
-        self.config = config
-        self.index = index
-        self.query_nets = query_nets
-        self.bn = bn
+        super().__init__(config, index, query_nets, bn)
         self.values = values
 
     @classmethod
     def build(cls, config: PkmConfig, seed: int = 0, dtype=np.float64) -> "PkmLayer":
-        rng = np.random.default_rng(seed)
-        index = build_index(config.n_memories, config.query_dim, seed=seed, dtype=dtype)
-        query_nets = [
-            Tensor(rng.normal(0.0, 1.0 / math.sqrt(config.d_model), size=(config.d_model, config.query_dim)).astype(dtype), requires_grad=True)
-            for _ in range(config.heads)
-        ]
-        bn = BNState.create(config.query_dim, dtype=dtype) if config.query_bn else None
+        rng, index, query_nets, bn = cls.build_router(config, seed, dtype)
         values = Tensor(
             rng.normal(0.0, 1.0 / math.sqrt(config.heads * config.topk), size=(config.n_memories, config.d_model)).astype(dtype),
             requires_grad=True,
@@ -119,83 +110,21 @@ class PkmLayer:
         return cls(config, index, query_nets, bn, values)
 
     def named_parameters(self) -> dict[str, Tensor]:
-        params = {"pkm.subkeys.c": self.index.left.keys, "pkm.subkeys.cp": self.index.right.keys}
-        for h, w in enumerate(self.query_nets):
-            params[f"pkm.query.{h}.w"] = w
-        if self.bn is not None:
-            params["pkm.bn.scale"] = self.bn.scale
-            params["pkm.bn.shift"] = self.bn.shift
+        params = self.router_parameters()
         params["pkm.values"] = self.values
         return params
 
-    def named_state(self) -> dict[str, np.ndarray]:
-        if self.bn is None:
-            return {}
-        return {"pkm.bn.mean": self.bn.running_mean, "pkm.bn.var": self.bn.running_var}
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        if self.bn is not None:
-            self.bn.running_mean = state["pkm.bn.mean"].copy()
-            self.bn.running_var = state["pkm.bn.var"].copy()
-
-    def forward(self, x: Tensor, mode: str = "infer", collect_routing: bool = False, counter: OpCounter | None = None):
-        return pkm_forward(self, x, mode=mode, collect_routing=collect_routing, counter=counter)
+    def forward(self, x: Tensor, mode: str = "infer", collect_routing: bool = False):
+        return pkm_forward(self, x, mode=mode, collect_routing=collect_routing)
 
 
-def pkm_forward(
-    layer: PkmLayer,
-    x: Tensor,
-    mode: str = "infer",
-    collect_routing: bool = False,
-    counter: OpCounter | None = None,
-) -> tuple[Tensor, PeerRouting | None]:
+def pkm_forward(layer: PkmLayer, x: Tensor, mode: str = "infer", collect_routing: bool = False) -> tuple[Tensor, PeerRouting | None]:
     """y = sum over heads of the score-weighted retrieved memory vectors.
 
     The payload does not depend on x beyond which slots the router picks.
+    Returns (y, routing) as `ProductKeyLayer.route` does.
     """
-    cfg = layer.config
-    if mode not in ("train", "infer"):
-        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    x2, in_shape = _flatten_tokens(x)
-    m, d_model = x2.data.shape
-    if d_model != cfg.d_model:
-        raise ValueError(f"input feature dim {d_model} != configured d_model {cfg.d_model}")
-    if mode == "train" and cfg.query_bn and m < 2:
-        raise ValueError("train mode with query batch norm needs at least 2 tokens")
-
-    q_heads = [T.matmul(x2, w) for w in layer.query_nets]
-    q_all = T.concat(q_heads, axis=0) if cfg.heads > 1 else q_heads[0]
-    if layer.bn is not None:
-        q_all = T.batch_norm(q_all, layer.bn, mode)
-
-    sqrt_n = layer.index.sqrt_n
-    half = cfg.query_dim // 2
-
-    idx, _raw = retrieve_topk_batch(layer.index, q_all.data, cfg.topk, counter=counter)
-
-    # Score recompute is uncounted: the retrieval instrument charged it already.
-    with T.macs_uncounted():
-        q1 = T.col_slice(q_all, 0, half)
-        q2 = T.col_slice(q_all, half, cfg.query_dim)
-        scores = T.add(T.gather_dot(q1, layer.index.left.keys, idx // sqrt_n), T.gather_dot(q2, layer.index.right.keys, idx % sqrt_n))
-    weights = T.softmax(scores) if cfg.score_norm == "softmax_per_head" else T.sigmoid(scores)
-
-    y_flat = T.gather_weighted_sum(weights, layer.values, idx)  # [heads*m, d_model] value readout
-
-    y = T.row_slice(y_flat, 0, m) if cfg.heads > 1 else y_flat
-    for h in range(1, cfg.heads):
-        y = T.add(y, T.row_slice(y_flat, h * m, (h + 1) * m))
-
-    routing = None
-    if collect_routing:
-        routing = PeerRouting(
-            indices=idx.reshape(cfg.heads, m, cfg.topk).transpose(1, 0, 2).copy(),
-            weights=weights.data.reshape(cfg.heads, m, cfg.topk).transpose(1, 0, 2).copy(),
-            n_experts=cfg.n_memories,
-        )
-    if len(in_shape) == 3:
-        y = T.reshape(y, in_shape)
-    return y, routing
+    return layer.route(x, mode, collect_routing, lambda x2, idx, weights: T.gather_weighted_sum(weights, layer.values, idx))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +178,7 @@ class ExpertChoiceMoE:
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         pass
 
-    def forward(self, x: Tensor, mode: str = "infer", collect_routing: bool = False, counter: OpCounter | None = None):
+    def forward(self, x: Tensor, mode: str = "infer", collect_routing: bool = False):
         return expert_choice_forward(self, x), None
 
 
@@ -258,7 +187,7 @@ def expert_choice_forward(layer: ExpertChoiceMoE, x: Tensor, capacity: int | Non
     independently processes its top-capacity tokens (ties to the lower token
     index). Tokens picked by nobody contribute zeros.
     """
-    x2, in_shape = _flatten_tokens(x)
+    x2, in_shape = T.flatten_tokens(x)
     m = x2.data.shape[0]
     if m < 1:
         raise ValueError("expert_choice_forward needs at least one token")

@@ -31,12 +31,13 @@ def _tag_for(arr: np.ndarray) -> int:
     return _KIND_TO_TAG[key]
 
 
-def write_tensor_record(arr: np.ndarray) -> bytes:
+def write_tensor_record(f, arr: np.ndarray) -> None:
+    """Write arr's record into the binary file f; a C-ordered little-endian
+    array is written from its own buffer, without a copy."""
     arr = np.asarray(arr)
     tag = _tag_for(arr)
-    head = struct.pack("<BI", tag, arr.ndim)
-    dims = struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b""
-    return head + dims + arr.astype(_TAG_TO_DTYPE[tag], copy=False).tobytes()
+    f.write(struct.pack(f"<BI{arr.ndim}Q", tag, arr.ndim, *arr.shape))
+    f.write(np.ascontiguousarray(arr, dtype=_TAG_TO_DTYPE[tag]))
 
 
 def _take(buf: bytes, offset: int, nbytes: int, what: str) -> int:
@@ -63,16 +64,15 @@ def read_tensor_record(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
-    parts = [MAGIC, struct.pack("<II", VERSION, len(tensors))]
-    for name, arr in tensors.items():
-        encoded = name.encode("utf-8")
-        parts.append(struct.pack("<I", len(encoded)))
-        parts.append(encoded)
-        parts.append(write_tensor_record(np.asarray(arr)))
+    """Stream every entry into `<path>.tmp`, then rename it over `path`."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(b"".join(parts))
+            f.write(MAGIC + struct.pack("<II", VERSION, len(tensors)))
+            for name, arr in tensors.items():
+                encoded = name.encode("utf-8")
+                f.write(struct.pack("<I", len(encoded)) + encoded)
+                write_tensor_record(f, arr)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

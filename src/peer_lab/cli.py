@@ -159,7 +159,7 @@ def cmd_metrics(args) -> int:
     windows = corpus.val_windows(model.config.seq_len)
     if not windows:
         raise SystemExit("validation split is empty")
-    acc = analysis.UsageAccumulator.create(model.middle.config.n_experts if cfg["model.middle_layer"] == "peer" else model.middle.config.n_memories)
+    acc = analysis.UsageAccumulator.create(model.middle.config.n_keys)
     for x, _ in windows:
         _, routing = model.forward(x[None, :], mode="infer", collect_routing=True)
         record_usage(routing, acc)

@@ -6,8 +6,9 @@ scores (softmax within the head by default), and sums the score-weighted
 expert outputs. An expert is a single hidden neuron: down(x) -> activation
 -> scaled up-projection row, optionally gated (GLU variant).
 
-Only the retrieved experts' rows participate in the forward pass, so their
-gradients are sparse: rows no token retrieved stay bitwise zero.
+The routing is `product_keys.ProductKeyLayer`, which PKM shares; this module
+adds the experts. Only the retrieved experts' rows participate in the forward
+pass, so their gradients are sparse: rows no token retrieved stay bitwise zero.
 """
 
 from __future__ import annotations
@@ -18,14 +19,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .product_keys import OpCounter, ProductKeyIndex, build_index, retrieve_topk_batch
+# retrieve_topk_batch is not called here; it stays bound in this module,
+# where tools that time the layers (perfbench/spans.py) look for it.
+from .product_keys import (  # noqa: F401
+    PeerRouting,
+    ProductKeyIndex,
+    ProductKeyLayer,
+    RouterConfig,
+    retrieve_topk_batch,
+)
 from .tensor import BNState, Tensor
-
-SCORE_NORMS = ("softmax_per_head", "sigmoid")
 
 
 @dataclass
-class PeerConfig:
+class PeerConfig(RouterConfig):
     n_experts: int = 4096
     heads: int = 4
     topk: int = 4
@@ -37,19 +44,9 @@ class PeerConfig:
     glu: bool = False
 
     def __post_init__(self):
-        sqrt_n = math.isqrt(int(self.n_experts))
-        if sqrt_n * sqrt_n != self.n_experts:
-            raise ValueError(f"n_experts must be a perfect square, got {self.n_experts}")
-        if not 1 <= self.topk <= sqrt_n:
-            raise ValueError(f"topk must be in [1, sqrt(n_experts)={sqrt_n}], got {self.topk}")
-        if self.heads < 1:
-            raise ValueError(f"heads must be >= 1, got {self.heads}")
-        if self.query_dim % 2 != 0:
-            raise ValueError(f"query_dim must be even, got {self.query_dim}")
+        super().__post_init__()
         if self.activation not in ("relu", "gelu"):
             raise ValueError(f"activation must be 'relu' or 'gelu', got {self.activation!r}")
-        if self.score_norm not in SCORE_NORMS:
-            raise ValueError(f"score_norm must be one of {SCORE_NORMS}, got {self.score_norm!r}")
 
     @property
     def granularity(self) -> int:
@@ -66,43 +63,18 @@ class ExpertStore:
     w_gate: Tensor | None = None  # [n_experts, d_model], GLU variant only
 
 
-@dataclass
-class PeerRouting:
-    """Per-token retrieval echo: expert ids and normalized combine weights."""
-
-    indices: np.ndarray  # int64 [tokens, heads, topk]
-    weights: np.ndarray  # float [tokens, heads, topk]
-    n_experts: int
-
-
-class PeerLayer:
+class PeerLayer(ProductKeyLayer):
     """Feedforward replacement; all heads share one expert pool and index."""
 
+    prefix = "peer"
+
     def __init__(self, config: PeerConfig, index: ProductKeyIndex, query_nets: list[Tensor], bn: BNState | None, experts: ExpertStore):
-        if index.n_experts != config.n_experts or index.key_dim != config.query_dim:
-            raise ValueError(
-                f"index ({index.n_experts} experts, key dim {index.key_dim}) does not match "
-                f"config ({config.n_experts} experts, query dim {config.query_dim})"
-            )
-        if len(query_nets) != config.heads:
-            raise ValueError(f"expected {config.heads} query networks, got {len(query_nets)}")
-        if config.query_bn and bn is None:
-            raise ValueError("config.query_bn is set but no BN state was provided")
-        self.config = config
-        self.index = index
-        self.query_nets = query_nets
-        self.bn = bn
+        super().__init__(config, index, query_nets, bn)
         self.experts = experts
 
     @classmethod
     def build(cls, config: PeerConfig, seed: int = 0, dtype=np.float64) -> "PeerLayer":
-        rng = np.random.default_rng(seed)
-        index = build_index(config.n_experts, config.query_dim, seed=seed, dtype=dtype)
-        query_nets = [
-            Tensor(rng.normal(0.0, 1.0 / math.sqrt(config.d_model), size=(config.d_model, config.query_dim)).astype(dtype), requires_grad=True)
-            for _ in range(config.heads)
-        ]
-        bn = BNState.create(config.query_dim, dtype=dtype) if config.query_bn else None
+        rng, index, query_nets, bn = cls.build_router(config, seed, dtype)
         down_std = 1.0 / math.sqrt(config.d_model)
         up_std = 1.0 / math.sqrt(config.heads * config.topk)
         experts = ExpertStore(
@@ -115,112 +87,35 @@ class PeerLayer:
         return cls(config, index, query_nets, bn, experts)
 
     def named_parameters(self) -> dict[str, Tensor]:
-        params = {
-            "peer.subkeys.c": self.index.left.keys,
-            "peer.subkeys.cp": self.index.right.keys,
-        }
-        for h, w in enumerate(self.query_nets):
-            params[f"peer.query.{h}.w"] = w
-        if self.bn is not None:
-            params["peer.bn.scale"] = self.bn.scale
-            params["peer.bn.shift"] = self.bn.shift
+        params = self.router_parameters()
         params["peer.experts.down"] = self.experts.w_down
         params["peer.experts.up"] = self.experts.w_up
         if self.experts.w_gate is not None:
             params["peer.experts.gate"] = self.experts.w_gate
         return params
 
-    def named_state(self) -> dict[str, np.ndarray]:
-        if self.bn is None:
-            return {}
-        return {"peer.bn.mean": self.bn.running_mean, "peer.bn.var": self.bn.running_var}
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        if self.bn is not None:
-            self.bn.running_mean = state["peer.bn.mean"].copy()
-            self.bn.running_var = state["peer.bn.var"].copy()
-
-    def forward(self, x: Tensor, mode: str = "infer", collect_routing: bool = False, counter: OpCounter | None = None):
-        return peer_forward(self, x, mode=mode, collect_routing=collect_routing, counter=counter)
+    def forward(self, x: Tensor, mode: str = "infer", collect_routing: bool = False):
+        return peer_forward(self, x, mode=mode, collect_routing=collect_routing)
 
 
-def _flatten_tokens(x: Tensor) -> tuple[Tensor, tuple[int, ...]]:
-    if x.data.ndim == 2:
-        return x, x.data.shape
-    if x.data.ndim == 3:
-        b, t, d = x.data.shape
-        return T.reshape(x, (b * t, d)), (b, t, d)
-    raise ValueError(f"expected x of shape [tokens, d_model] or [batch, time, d_model], got {x.data.shape}")
-
-
-def peer_forward(
-    layer: PeerLayer,
-    x: Tensor,
-    mode: str = "infer",
-    collect_routing: bool = False,
-    counter: OpCounter | None = None,
-) -> tuple[Tensor, PeerRouting | None]:
+def peer_forward(layer: PeerLayer, x: Tensor, mode: str = "infer", collect_routing: bool = False) -> tuple[Tensor, PeerRouting | None]:
     """Route every token through its top experts and sum the head outputs.
 
-    Returns (y, routing); routing is populated only when `collect_routing`
-    (it echoes expert ids and normalized weights per token and head).
-    Differentiable end to end except the top-k selection itself: gradients
-    flow through the selected scores and selected expert rows only.
+    Each retrieved expert is one hidden neuron: down(x) -> activation
+    (times gate(x) for GLU) -> its score-weighted up row. Returns (y,
+    routing) as `ProductKeyLayer.route` does.
     """
     cfg = layer.config
-    if mode not in ("train", "infer"):
-        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    x2, in_shape = _flatten_tokens(x)
-    m, d_model = x2.data.shape
-    if d_model != cfg.d_model:
-        raise ValueError(f"input feature dim {d_model} != configured d_model {cfg.d_model}")
-    if mode == "train" and cfg.query_bn and m < 2:
-        raise ValueError("train mode with query batch norm needs at least 2 tokens")
-
-    # Queries for every head stacked head-major [heads*m, d], then one shared
-    # feature-wise BN over all of them (applied before the half split).
-    q_heads = [T.matmul(x2, w) for w in layer.query_nets]
-    q_all = T.concat(q_heads, axis=0) if cfg.heads > 1 else q_heads[0]
-    if layer.bn is not None:
-        q_all = T.batch_norm(q_all, layer.bn, mode)
-
-    sqrt_n = layer.index.sqrt_n
-    half = cfg.query_dim // 2
     activation = T.ACTIVATIONS[cfg.activation]
 
-    # One retrieval for all heads x tokens; selection is not differentiated.
-    idx, _raw = retrieve_topk_batch(layer.index, q_all.data, cfg.topk, counter=counter)
+    def experts(x2: Tensor, idx: np.ndarray, weights: Tensor) -> Tensor:
+        x_rep = T.concat([x2] * cfg.heads, axis=0) if cfg.heads > 1 else x2
+        act = activation(T.gather_dot(x_rep, layer.experts.w_down, idx))
+        if layer.experts.w_gate is not None:
+            act = T.mul(act, T.gather_dot(x_rep, layer.experts.w_gate, idx))
+        return T.gather_weighted_sum(T.mul(weights, act), layer.experts.w_up, idx)
 
-    # Recompute the selected scores differentiably from the sub-keys. The
-    # retrieval instrument already charged these products; keep the meter off.
-    with T.macs_uncounted():
-        q1 = T.col_slice(q_all, 0, half)
-        q2 = T.col_slice(q_all, half, cfg.query_dim)
-        scores = T.add(T.gather_dot(q1, layer.index.left.keys, idx // sqrt_n), T.gather_dot(q2, layer.index.right.keys, idx % sqrt_n))
-
-    # softmax normalizes over the k retrieved scores within each head
-    weights = T.softmax(scores) if cfg.score_norm == "softmax_per_head" else T.sigmoid(scores)
-
-    x_rep = T.concat([x2] * cfg.heads, axis=0) if cfg.heads > 1 else x2
-    act = activation(T.gather_dot(x_rep, layer.experts.w_down, idx))
-    if layer.experts.w_gate is not None:
-        act = T.mul(act, T.gather_dot(x_rep, layer.experts.w_gate, idx))
-    y_flat = T.gather_weighted_sum(T.mul(weights, act), layer.experts.w_up, idx)  # [heads*m, d_model]
-
-    y = T.row_slice(y_flat, 0, m) if cfg.heads > 1 else y_flat
-    for h in range(1, cfg.heads):
-        y = T.add(y, T.row_slice(y_flat, h * m, (h + 1) * m))
-
-    routing = None
-    if collect_routing:
-        routing = PeerRouting(
-            indices=idx.reshape(cfg.heads, m, cfg.topk).transpose(1, 0, 2).copy(),
-            weights=weights.data.reshape(cfg.heads, m, cfg.topk).transpose(1, 0, 2).copy(),
-            n_experts=cfg.n_experts,
-        )
-    if len(in_shape) == 3:
-        y = T.reshape(y, in_shape)
-    return y, routing
+    return layer.route(x, mode, collect_routing, experts)
 
 
 def peer_backward(layer: PeerLayer, x: Tensor, upstream, mode: str = "train") -> tuple[dict[str, np.ndarray], np.ndarray]:

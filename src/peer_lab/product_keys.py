@@ -9,19 +9,24 @@ of the O(N d) of exhaustive scoring.
 
 Ties break toward the smaller index at every selection stage, so results are
 fully deterministic and bit-identical to the exhaustive reference.
+
+`ProductKeyLayer` is the router PEER and PKM share: per-head query
+networks, an optional batch norm over the queries, one batched retrieval and
+the normalized scores of the retrieved keys. The two layers differ only in
+the payload they read at the retrieved ids.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, count_macs, top_k
+from . import tensor as T
+from .tensor import BNState, Tensor, count_macs, top_k
 
-_SCRATCH = threading.local()
+SCORE_NORMS = ("softmax_per_head", "sigmoid")
 
 
 @dataclass
@@ -115,38 +120,20 @@ def retrieve_topk(index: ProductKeyIndex, query, k: int, counter: OpCounter | No
     products, and re-ranks the k^2 candidate sums. The true top-k is always
     contained in the candidates, so the result equals exhaustive search.
     Requires k <= sqrt(N) (each side must supply k candidates) and a finite
-    query (ValueError otherwise).
+    query (ValueError otherwise). This is retrieve_topk_batch on one row.
     """
     q = _check_query(index, query)
-    _check_finite(q)
-    sqrt_n = index.sqrt_n
-    if not 1 <= k <= sqrt_n:
-        raise ValueError(f"k must be in [1, sqrt(N)={sqrt_n}], got {k}")
-    half = index.key_dim // 2
-    s_left = index.left.keys.data @ q[:half]
-    s_right = index.right.keys.data @ q[half:]
-
-    # arrange per-side winners by sub-index so candidates come out in
-    # ascending expert-id order; the stable top-k then breaks ties by id
-    i_top = np.sort(top_k(s_left, k)[0])
-    j_top = np.sort(top_k(s_right, k)[0])
-    s1, s2 = s_left[i_top], s_right[j_top]
-
-    cand_scores = (s1[:, None] + s2[None, :]).ravel()
-    cand_ids = (i_top[:, None] * sqrt_n + j_top[None, :]).ravel()
-    sel, scores = top_k(cand_scores, k)
-
-    if counter is not None:
-        counter.add(macs=sqrt_n * index.key_dim + k * k, comparisons=2 * sqrt_n + k * k)
-    count_macs(sqrt_n * index.key_dim + k * k)
-    return RetrievalResult(indices=cand_ids[sel].astype(np.int64), scores=scores)
+    indices, scores = retrieve_topk_batch(index, q[None, :], k, counter)
+    return RetrievalResult(indices=indices[0], scores=scores[0])
 
 
 def retrieve_topk_batch(index: ProductKeyIndex, queries, k: int, counter: OpCounter | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized retrieve_topk over queries [m,d] -> (indices [m,k], scores [m,k]).
+    """Exact top-k over queries [m,d] -> (indices [m,k], scores [m,k]).
 
-    Same math, selection rule, and per-query operation counts as the
-    single-query path; only the numpy batching differs.
+    Each row is split in half and scored against both sub-key sets; each
+    side's top-k winners, ordered by sub-index, give k^2 candidates in
+    ascending expert-id order, and the stable top-k over their sums breaks
+    ties toward the smaller id. Charges sqrt(N)*d + k^2 MACs per query.
     """
     q = queries.data if isinstance(queries, Tensor) else np.asarray(queries)
     if q.ndim != 2 or q.shape[1] != index.key_dim:
@@ -160,8 +147,8 @@ def retrieve_topk_batch(index: ProductKeyIndex, queries, k: int, counter: OpCoun
     s_left = q[:, :half] @ index.left.keys.data.T  # [m, sqrt_n]
     s_right = q[:, half:] @ index.right.keys.data.T
 
-    # per-side winners by sub-index, as in retrieve_topk: candidates then come
-    # out in ascending expert-id order and the stable top-k breaks ties by id
+    # per-side winners by sub-index: candidates then come out in ascending
+    # expert-id order and the stable top-k breaks ties by id
     i_top = np.sort(top_k(s_left, k)[0], axis=-1)
     j_top = np.sort(top_k(s_right, k)[0], axis=-1)
     s1 = np.take_along_axis(s_left, i_top, axis=-1)
@@ -191,52 +178,172 @@ def retrieve_exhaustive(index: ProductKeyIndex, query, k: int, counter: OpCounte
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, N={n}], got {k}")
     half = index.key_dim // 2
-    # row e = i*sqrt_n + j holds [left sub-key i, right sub-key j]; the
-    # materialization buffer is reused across calls (thread-local scratch)
-    shape = (sqrt_n, sqrt_n, half)
-    pool = getattr(_SCRATCH, "pool", None)
-    if pool is None:
-        pool = _SCRATCH.pool = {}
-    key = (shape, index.left.keys.data.dtype)
-    if key not in pool:
-        pool[key] = (np.empty(shape, dtype=index.left.keys.data.dtype), np.empty(shape, dtype=index.left.keys.data.dtype))
-    left_buf, right_buf = pool[key]
-    left_buf[:] = index.left.keys.data[:, None, :]
-    right_buf[:] = index.right.keys.data[None, :, :]
-    left_full = left_buf.reshape(n, half)
-    right_full = right_buf.reshape(n, half)
-    scores = left_full @ q[:half] + right_full @ q[half:]
+    # row e = i*sqrt_n + j holds [left sub-key i, right sub-key j]; each
+    # [N, d/2] half is built, used and freed in turn, never a [N, d] copy
+    scores = (
+        np.repeat(index.left.keys.data, sqrt_n, axis=0) @ q[:half]
+        + np.tile(index.right.keys.data, (sqrt_n, 1)) @ q[half:]
+    )
     idx, vals = top_k(scores, k)
     if counter is not None:
         counter.add(macs=n * index.key_dim, comparisons=n)
     return RetrievalResult(indices=idx.astype(np.int64), scores=vals)
 
 
-def retrieval_backward(index: ProductKeyIndex, query, result: RetrievalResult, upstream_score_grads) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Adjoint of the selected scores wrt the query and sub-keys.
+# ---------------------------------------------------------------------------
+# The product-key router behind PEER and PKM
+# ---------------------------------------------------------------------------
 
-    For each selected expert (i, j) with upstream gradient g on its score:
-    grad q_left += g * left[i], grad left[i] += g * q_left, and likewise for
-    the right half. Sub-keys never selected get exactly zero gradient.
-    Returns (grad_query, {"left": grad_left, "right": grad_right}).
+
+@dataclass
+class PeerRouting:
+    """Per-token retrieval echo: expert ids and normalized combine weights."""
+
+    indices: np.ndarray  # int64 [tokens, heads, topk]
+    weights: np.ndarray  # float [tokens, heads, topk]
+    n_experts: int
+
+
+class RouterConfig:
+    """Validation of the router fields PeerConfig and PkmConfig share.
+
+    A subclass is a dataclass with `heads`, `topk`, `d_model`, `query_dim`,
+    `score_norm` and `query_bn` fields; `keys_field` names its field holding
+    the number of product keys.
     """
-    q = _check_query(index, query)
-    g = np.asarray(upstream_score_grads, dtype=q.dtype)
-    if g.shape != result.scores.shape:
-        raise ValueError(f"upstream grads shape {g.shape} != scores shape {result.scores.shape}")
-    sqrt_n = index.sqrt_n
-    if result.indices.size and (result.indices.min() < 0 or result.indices.max() >= index.n_experts):
-        raise ValueError("result does not belong to this index: expert id out of range")
-    half = index.key_dim // 2
-    i_idx = result.indices // sqrt_n
-    j_idx = result.indices % sqrt_n
 
-    grad_q = np.zeros_like(q)
-    grad_left = np.zeros_like(index.left.keys.data)
-    grad_right = np.zeros_like(index.right.keys.data)
+    keys_field = "n_experts"
 
-    grad_q[:half] = g @ index.left.keys.data[i_idx]
-    grad_q[half:] = g @ index.right.keys.data[j_idx]
-    np.add.at(grad_left, i_idx, g[:, None] * q[:half])
-    np.add.at(grad_right, j_idx, g[:, None] * q[half:])
-    return grad_q, {"left": grad_left, "right": grad_right}
+    @property
+    def n_keys(self) -> int:
+        return getattr(self, self.keys_field)
+
+    def __post_init__(self):
+        sqrt_n = math.isqrt(int(self.n_keys))
+        if sqrt_n * sqrt_n != self.n_keys:
+            raise ValueError(f"{self.keys_field} must be a perfect square, got {self.n_keys}")
+        if not 1 <= self.topk <= sqrt_n:
+            raise ValueError(f"topk must be in [1, sqrt({self.keys_field})={sqrt_n}], got {self.topk}")
+        if self.heads < 1:
+            raise ValueError(f"heads must be >= 1, got {self.heads}")
+        if self.query_dim % 2 != 0:
+            raise ValueError(f"query_dim must be even, got {self.query_dim}")
+        if self.score_norm not in SCORE_NORMS:
+            raise ValueError(f"score_norm must be one of {SCORE_NORMS}, got {self.score_norm!r}")
+
+
+class ProductKeyLayer:
+    """Query networks, an optional query BN and a product-key index.
+
+    A subclass sets `prefix` (the parameter-name prefix) and reads a payload
+    at the ids `route` retrieves. `index`, `query_nets` and `bn` are read on
+    every forward, so they may be reassigned, e.g. to share one index.
+    """
+
+    prefix = ""
+
+    def __init__(self, config: RouterConfig, index: ProductKeyIndex, query_nets: list[Tensor], bn: BNState | None):
+        if index.n_experts != config.n_keys or index.key_dim != config.query_dim:
+            raise ValueError(
+                f"index ({index.n_experts} keys, key dim {index.key_dim}) does not match "
+                f"config ({config.keys_field}={config.n_keys}, query dim {config.query_dim})"
+            )
+        if len(query_nets) != config.heads:
+            raise ValueError(f"expected {config.heads} query networks, got {len(query_nets)}")
+        if config.query_bn and bn is None:
+            raise ValueError("config.query_bn is set but no BN state was provided")
+        self.config = config
+        self.index = index
+        self.query_nets = query_nets
+        self.bn = bn
+
+    @staticmethod
+    def build_router(config: RouterConfig, seed: int, dtype) -> tuple[np.random.Generator, ProductKeyIndex, list[Tensor], BNState | None]:
+        """A fresh index, query nets and BN, and the generator the payload is drawn from next."""
+        rng = np.random.default_rng(seed)
+        index = build_index(config.n_keys, config.query_dim, seed=seed, dtype=dtype)
+        query_nets = [
+            Tensor(rng.normal(0.0, 1.0 / math.sqrt(config.d_model), size=(config.d_model, config.query_dim)).astype(dtype), requires_grad=True)
+            for _ in range(config.heads)
+        ]
+        bn = BNState.create(config.query_dim, dtype=dtype) if config.query_bn else None
+        return rng, index, query_nets, bn
+
+    def router_parameters(self) -> dict[str, Tensor]:
+        p = self.prefix
+        params = {f"{p}.subkeys.c": self.index.left.keys, f"{p}.subkeys.cp": self.index.right.keys}
+        for h, w in enumerate(self.query_nets):
+            params[f"{p}.query.{h}.w"] = w
+        if self.bn is not None:
+            params[f"{p}.bn.scale"] = self.bn.scale
+            params[f"{p}.bn.shift"] = self.bn.shift
+        return params
+
+    def named_state(self) -> dict[str, np.ndarray]:
+        if self.bn is None:
+            return {}
+        return {f"{self.prefix}.bn.mean": self.bn.running_mean, f"{self.prefix}.bn.var": self.bn.running_var}
+
+    def load_state(self, state: dict[str, np.ndarray]) -> None:
+        if self.bn is not None:
+            self.bn.running_mean = state[f"{self.prefix}.bn.mean"].copy()
+            self.bn.running_var = state[f"{self.prefix}.bn.var"].copy()
+
+    def route(self, x: Tensor, mode: str, collect_routing: bool, payload) -> tuple[Tensor, PeerRouting | None]:
+        """Retrieve every token's top keys per head and sum the heads' payloads.
+
+        `payload(x2, idx, weights)` gets the token rows x2 [m, d_model], the
+        retrieved ids idx [heads*m, topk] (head-major) and their normalized
+        scores, and returns [heads*m, d_model]. Returns (y shaped like x,
+        routing echo or None); routing is populated only when
+        `collect_routing`. Differentiable end to end except the top-k
+        selection itself: gradients flow through the selected scores and the
+        rows the payload reads only.
+        """
+        cfg = self.config
+        if mode not in ("train", "infer"):
+            raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
+        x2, in_shape = T.flatten_tokens(x)
+        m, d_model = x2.data.shape
+        if d_model != cfg.d_model:
+            raise ValueError(f"input feature dim {d_model} != configured d_model {cfg.d_model}")
+        if mode == "train" and cfg.query_bn and m < 2:
+            raise ValueError("train mode with query batch norm needs at least 2 tokens")
+
+        # Queries for every head stacked head-major [heads*m, d], then one shared
+        # feature-wise BN over all of them (applied before the half split).
+        q_heads = [T.matmul(x2, w) for w in self.query_nets]
+        q_all = T.concat(q_heads, axis=0) if cfg.heads > 1 else q_heads[0]
+        if self.bn is not None:
+            q_all = T.batch_norm(q_all, self.bn, mode)
+
+        # One retrieval for all heads x tokens; selection is not differentiated.
+        sqrt_n = self.index.sqrt_n
+        half = cfg.query_dim // 2
+        idx, _raw = retrieve_topk_batch(self.index, q_all.data, cfg.topk)
+
+        # Recompute the selected scores differentiably from the sub-keys. The
+        # retrieval instrument already charged these products; keep the meter off.
+        with T.macs_uncounted():
+            q1 = T.col_slice(q_all, 0, half)
+            q2 = T.col_slice(q_all, half, cfg.query_dim)
+            scores = T.add(T.gather_dot(q1, self.index.left.keys, idx // sqrt_n), T.gather_dot(q2, self.index.right.keys, idx % sqrt_n))
+
+        # softmax normalizes over the k retrieved scores within each head
+        weights = T.softmax(scores) if cfg.score_norm == "softmax_per_head" else T.sigmoid(scores)
+        y_flat = payload(x2, idx, weights)
+
+        y = T.row_slice(y_flat, 0, m) if cfg.heads > 1 else y_flat
+        for h in range(1, cfg.heads):
+            y = T.add(y, T.row_slice(y_flat, h * m, (h + 1) * m))
+
+        routing = None
+        if collect_routing:
+            routing = PeerRouting(
+                indices=idx.reshape(cfg.heads, m, cfg.topk).transpose(1, 0, 2).copy(),
+                weights=weights.data.reshape(cfg.heads, m, cfg.topk).transpose(1, 0, 2).copy(),
+                n_experts=cfg.n_keys,
+            )
+        if len(in_shape) == 3:
+            y = T.reshape(y, in_shape)
+        return y, routing

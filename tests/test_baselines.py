@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -115,18 +117,55 @@ class TestPkm:
             assert np.max(np.abs(y.data - expected)) <= 1e-10
 
     def test_same_index_calls_as_peer(self):
-        # identical queries against a shared index select identical slots
-        pkm_cfg = PkmConfig(n_memories=64, heads=2, topk=3, d_model=8, query_dim=8, query_bn=False)
-        peer_cfg = PeerConfig(n_experts=64, heads=2, topk=3, d_model=8, query_dim=8, query_bn=False)
-        pkm = PkmLayer.build(pkm_cfg, seed=7)
-        peer = PeerLayer.build(peer_cfg, seed=7)
-        peer.index = pkm.index
-        peer.query_nets = pkm.query_nets
-        rng = np.random.default_rng(7)
-        x = Tensor(rng.normal(size=(6, 8)))
-        _, routing_pkm = pkm_forward(pkm, x, collect_routing=True)
-        _, routing_peer = peer_forward(peer, x, collect_routing=True)
-        assert np.array_equal(routing_pkm.indices, routing_peer.indices)
+        # identical queries against a shared index, query nets and BN select
+        # identical slots with bitwise identical weights
+        for score_norm, query_bn, mode in [
+            ("softmax_per_head", False, "infer"),
+            ("sigmoid", False, "infer"),
+            ("softmax_per_head", True, "train"),
+            ("sigmoid", True, "train"),
+        ]:
+            common = dict(heads=2, topk=3, d_model=8, query_dim=8, score_norm=score_norm, query_bn=query_bn)
+            pkm = PkmLayer.build(PkmConfig(n_memories=64, **common), seed=7)
+            peer = PeerLayer.build(PeerConfig(n_experts=64, **common), seed=7)
+            peer.index = pkm.index
+            peer.query_nets = pkm.query_nets
+            peer.bn = pkm.bn
+            rng = np.random.default_rng(7)
+            x = Tensor(rng.normal(size=(6, 8)))
+            _, routing_pkm = pkm_forward(pkm, x, mode=mode, collect_routing=True)
+            _, routing_peer = peer_forward(peer, x, mode=mode, collect_routing=True)
+            assert np.array_equal(routing_pkm.indices, routing_peer.indices)
+            assert routing_pkm.weights.tobytes() == routing_peer.weights.tobytes(), (score_norm, query_bn, mode)
+
+    @pytest.mark.parametrize("case", ["score_norm", "zero_heads", "query_nets_per_head", "bn_state"])
+    def test_invalid_router_rejected(self, case):
+        cfg = PkmConfig(n_memories=64, heads=2, topk=2, d_model=8, query_dim=8, query_bn=False)
+        layer = PkmLayer.build(cfg, seed=0)
+        with pytest.raises(ValueError):
+            if case == "score_norm":
+                PkmConfig(score_norm="softmax")
+            elif case == "zero_heads":
+                PkmConfig(heads=0)
+            elif case == "query_nets_per_head":
+                PkmLayer(cfg, layer.index, layer.query_nets[:1], None, layer.values)
+            else:
+                PkmLayer(dataclasses.replace(cfg, query_bn=True), layer.index, layer.query_nets, None, layer.values)
+
+    def test_unretrieved_rows_bitwise_zero(self):
+        cfg = PkmConfig(n_memories=256, heads=2, topk=3, d_model=8, query_dim=8, query_bn=True)
+        layer = PkmLayer.build(cfg, seed=2)
+        rng = np.random.default_rng(2)
+        x = Tensor(rng.normal(size=(5, 8)))
+        with T.Tape() as tape:
+            y, routing = pkm_forward(layer, x, mode="train", collect_routing=True)
+            tape.backward(y, grad=rng.normal(size=(5, 8)))
+        grads = {name: p.grad for name, p in layer.named_parameters().items()}
+        sqrt_n = layer.index.sqrt_n
+        for name, used in (("pkm.values", routing.indices), ("pkm.subkeys.c", routing.indices // sqrt_n), ("pkm.subkeys.cp", routing.indices % sqrt_n)):
+            unused = np.setdiff1d(np.arange(grads[name].shape[0]), used)
+            assert unused.size and grads[name][unused].tobytes() == bytes(grads[name][unused].nbytes), name
+            assert np.all(np.any(grads[name][np.unique(used)] != 0.0, axis=1)), name
 
     def test_grad_check(self):
         cfg = PkmConfig(n_memories=16, heads=2, topk=2, d_model=6, query_dim=4, query_bn=True)

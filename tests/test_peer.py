@@ -254,6 +254,11 @@ class TestBackward:
         for name in ("peer.experts.down", "peer.experts.up", "peer.experts.gate"):
             assert np.all(grads[name][untouched] == 0.0)
             assert np.any(grads[name][retrieved] != 0.0)
+        sqrt_n = layer.index.sqrt_n
+        for name, used in (("peer.subkeys.c", routing.indices // sqrt_n), ("peer.subkeys.cp", routing.indices % sqrt_n)):
+            unused = np.setdiff1d(np.arange(sqrt_n), used)
+            assert unused.size and grads[name][unused].tobytes() == bytes(grads[name][unused].nbytes), name
+            assert np.all(np.any(grads[name][np.unique(used)] != 0.0, axis=1)), name
 
     def test_full_layer_finite_differences(self):
         cfg = PeerConfig(n_experts=16, heads=2, topk=2, d_model=8, query_dim=8, activation="gelu", query_bn=True, glu=True)

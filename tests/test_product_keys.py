@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from peer_lab.product_keys import (
     OpCounter,
     build_index,
-    retrieval_backward,
     retrieve_exhaustive,
     retrieve_topk,
     retrieve_topk_batch,
@@ -226,77 +225,3 @@ class TestBatchedRetrieval:
         queries[3, 2] = np.inf
         with pytest.raises(ValueError, match="2 of 5 query rows are non-finite"):
             retrieve_topk_batch(build_index(256, 8, seed=0), queries, 4)
-
-
-class TestRetrievalBackward:
-    def test_zero_upstream_gives_zero_grads(self):
-        index = build_index(16, 4, seed=0)
-        q = np.ones(4)
-        result = retrieve_topk(index, q, 3)
-        grad_q, grad_keys = retrieval_backward(index, q, result, np.zeros(3))
-        assert np.all(grad_q == 0.0)
-        assert np.all(grad_keys["left"] == 0.0) and np.all(grad_keys["right"] == 0.0)
-
-    def test_single_selection_unit_grad_is_full_key(self):
-        index = hand_index()
-        q = np.array([1.0, 1.0])
-        result = retrieve_topk(index, q, 1)
-        grad_q, grad_keys = retrieval_backward(index, q, result, np.ones(1))
-        expert = result.indices[0]
-        i, j = expert // 2, expert % 2
-        full_key = np.concatenate([index.left.keys.data[i], index.right.keys.data[j]])
-        assert np.array_equal(grad_q, full_key)
-        assert np.array_equal(grad_keys["left"][i], q[:1])
-        assert np.array_equal(grad_keys["right"][j], q[1:])
-
-    def test_unselected_subkeys_zero(self):
-        rng = np.random.default_rng(4)
-        index = build_index(64, 8, seed=4)
-        q = rng.normal(size=8)
-        result = retrieve_topk(index, q, 2)
-        _, grad_keys = retrieval_backward(index, q, result, rng.normal(size=2))
-        selected_i = set((result.indices // 8).tolist())
-        selected_j = set((result.indices % 8).tolist())
-        for i in range(8):
-            if i not in selected_i:
-                assert np.all(grad_keys["left"][i] == 0.0)
-            if i not in selected_j:
-                assert np.all(grad_keys["right"][i] == 0.0)
-
-    def test_matches_finite_differences(self):
-        rng = np.random.default_rng(6)
-        index = build_index(64, 8, seed=6)
-        q = rng.normal(size=8)
-        k = 3
-        result = retrieve_topk(index, q, k)
-        upstream = rng.normal(size=k)
-        grad_q, grad_keys = retrieval_backward(index, q, result, upstream)
-
-        def weighted_scores(query):
-            return float(upstream @ retrieve_topk(index, query, k).scores)
-
-        step = 1e-6
-        for c in range(8):
-            plus, minus = q.copy(), q.copy()
-            plus[c] += step
-            minus[c] -= step
-            numeric = (weighted_scores(plus) - weighted_scores(minus)) / (2 * step)
-            assert abs(grad_q[c] - numeric) / max(1.0, abs(grad_q[c])) <= 1e-4
-
-        keys = index.left.keys.data
-        for i, j in [(0, 0), (2, 3), (7, 1)]:
-            orig = keys[i, j]
-            keys[i, j] = orig + step
-            plus = weighted_scores(q)
-            keys[i, j] = orig - step
-            minus = weighted_scores(q)
-            keys[i, j] = orig
-            numeric = (plus - minus) / (2 * step)
-            analytic = grad_keys["left"][i, j]
-            assert abs(analytic - numeric) / max(1.0, abs(analytic)) <= 1e-4
-
-    def test_mismatched_result_errors(self):
-        index = build_index(16, 4, seed=0)
-        other = retrieve_topk(build_index(256, 4, seed=1), np.ones(4), 16)
-        with pytest.raises(ValueError):
-            retrieval_backward(index, np.ones(4), other, np.ones(16))
