@@ -5,12 +5,14 @@ dimension, then the raw element bytes. Container layout: magic "PEERCKPT",
 format version u32, entry count u32, then per entry a u32 name length, the
 utf-8 name, and a tensor record. A save writes a temporary file beside the
 target and renames it over the target, so a run killed mid-save keeps its
-last checkpoint. A load rejects a file that ends inside a record or has
-bytes after the last one.
+last checkpoint. A load reads each record's data straight into its array,
+so it holds the file once, and rejects a file that ends inside a record or
+has bytes after the last one.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import struct
@@ -40,27 +42,37 @@ def write_tensor_record(f, arr: np.ndarray) -> None:
     f.write(np.ascontiguousarray(arr, dtype=_TAG_TO_DTYPE[tag]))
 
 
-def _take(buf: bytes, offset: int, nbytes: int, what: str) -> int:
-    """Check that `nbytes` of `what` fit at `offset`; returns the offset after them."""
+def _take(offset: int, nbytes: int, size: int, what: str) -> int:
+    """Check that `nbytes` of `what` fit at `offset` of `size` bytes; returns the offset after them."""
     end = offset + nbytes
-    if end > len(buf):
-        raise ValueError(f"{what} at byte {offset} needs {nbytes} bytes, but the buffer ends at byte {len(buf)}")
+    if end > size:
+        raise ValueError(f"{what} at byte {offset} needs {nbytes} bytes, but the input ends at byte {size}")
     return end
+
+
+def _read_record(f, offset: int, size: int) -> tuple[np.ndarray, int]:
+    """Decode the record at `offset` of the binary file f of `size` bytes,
+    positioned there; the data is read straight into the returned array."""
+    dims_at = _take(offset, 5, size, "tensor header")
+    tag, rank = struct.unpack("<BI", f.read(5))
+    if tag not in _TAG_TO_DTYPE:
+        raise ValueError(f"unknown tensor dtype tag {tag} at byte {offset}")
+    data_at = _take(dims_at, 8 * rank, size, "tensor shape")
+    shape = struct.unpack(f"<{rank}Q", f.read(8 * rank))
+    dt = np.dtype(_TAG_TO_DTYPE[tag])
+    nbytes = math.prod(shape) * dt.itemsize
+    end = _take(data_at, nbytes, size, f"tensor data of shape {shape}")
+    arr = np.empty(shape, dt)
+    if f.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
+        raise ValueError(f"tensor data of shape {shape} at byte {data_at} ended early: the input shrank while it was read")
+    return arr, end
 
 
 def read_tensor_record(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     """Decode the record at `offset`; returns the array and the offset after it."""
-    dims_at = _take(buf, offset, 5, "tensor header")
-    tag, rank = struct.unpack_from("<BI", buf, offset)
-    if tag not in _TAG_TO_DTYPE:
-        raise ValueError(f"unknown tensor dtype tag {tag} at byte {offset}")
-    data_at = _take(buf, dims_at, 8 * rank, "tensor shape")
-    shape = struct.unpack_from(f"<{rank}Q", buf, dims_at) if rank else ()
-    dt = np.dtype(_TAG_TO_DTYPE[tag])
-    count = math.prod(shape)
-    end = _take(buf, data_at, count * dt.itemsize, f"tensor data of shape {shape}")
-    arr = np.frombuffer(buf, dtype=dt, count=count, offset=data_at).reshape(shape).copy()
-    return arr, end
+    f = io.BytesIO(buf)
+    f.seek(offset)
+    return _read_record(f, offset, len(buf))
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
@@ -80,26 +92,28 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read every entry of the file at `path`, each straight into its own array."""
     with open(path, "rb") as f:
-        buf = f.read()
-    if buf[: len(MAGIC)] != MAGIC:
-        raise ValueError(f"not a checkpoint file: bad magic {buf[: len(MAGIC)]!r}")
-    offset = _take(buf, len(MAGIC), 8, f"checkpoint {path} header")
-    version, count = struct.unpack_from("<II", buf, len(MAGIC))
-    if version != VERSION:
-        raise ValueError(f"unsupported checkpoint version {version} (expected {VERSION})")
-    tensors: dict[str, np.ndarray] = {}
-    for i in range(count):
-        entry, name = offset, None
-        try:
-            offset = _take(buf, offset, 4, "name length")
-            (name_len,) = struct.unpack_from("<I", buf, entry)
-            name_at, offset = offset, _take(buf, offset, name_len, "name")
-            name = buf[name_at:offset].decode("utf-8")
-            tensors[name], offset = read_tensor_record(buf, offset)
-        except ValueError as e:
-            label = f"entry {i} of {count}" + ("" if name is None else f" ({name!r})")
-            raise ValueError(f"checkpoint {path}: {label}, starting at byte {entry}: {e}") from None
-    if offset != len(buf):
-        raise ValueError(f"checkpoint {path}: {len(buf) - offset} bytes left over after the last entry, at byte {offset}")
+        size = os.fstat(f.fileno()).st_size
+        magic = f.read(len(MAGIC))
+        if magic != MAGIC:
+            raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
+        offset = _take(len(MAGIC), 8, size, f"checkpoint {path} header")
+        version, count = struct.unpack("<II", f.read(8))
+        if version != VERSION:
+            raise ValueError(f"unsupported checkpoint version {version} (expected {VERSION})")
+        tensors: dict[str, np.ndarray] = {}
+        for i in range(count):
+            entry, name = offset, None
+            try:
+                offset = _take(offset, 4, size, "name length")
+                (name_len,) = struct.unpack("<I", f.read(4))
+                offset = _take(offset, name_len, size, "name")
+                name = f.read(name_len).decode("utf-8")
+                tensors[name], offset = _read_record(f, offset, size)
+            except ValueError as e:
+                label = f"entry {i} of {count}" + ("" if name is None else f" ({name!r})")
+                raise ValueError(f"checkpoint {path}: {label}, starting at byte {entry}: {e}") from None
+    if offset != size:
+        raise ValueError(f"checkpoint {path}: {size - offset} bytes left over after the last entry, at byte {offset}")
     return tensors

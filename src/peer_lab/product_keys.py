@@ -127,13 +127,29 @@ def retrieve_topk(index: ProductKeyIndex, query, k: int, counter: OpCounter | No
     return RetrievalResult(indices=indices[0], scores=scores[0])
 
 
+# scores one retrieval tile may hold per sub-key side: at d = 128 the
+# [rows, sqrt_n] blocks and top_k's masked copy stay in cache
+TILE_SCORES = 1 << 18
+
+
+def tile_rows(sqrt_n: int) -> int:
+    """Rows of one retrieval tile at most: TILE_SCORES // sqrt_n, and at least 4,
+    so near-equal tiles of m > 1 rows never leave a 1-row tile."""
+    return max(4, TILE_SCORES // sqrt_n)
+
+
 def retrieve_topk_batch(index: ProductKeyIndex, queries, k: int, counter: OpCounter | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k over queries [m,d] -> (indices [m,k], scores [m,k]).
 
     Each row is split in half and scored against both sub-key sets; each
     side's top-k winners, ordered by sub-index, give k^2 candidates in
     ascending expert-id order, and the stable top-k over their sums breaks
-    ties toward the smaller id. Charges sqrt(N)*d + k^2 MACs per query.
+    ties toward the smaller id. Rows go through in near-equal tiles of at
+    most `tile_rows(sqrt_n)` rows, so a tile's score blocks stay in cache;
+    OpenBLAS gives a product of 2+ rows the bits of the untiled product, so
+    tiling changes no result (one row goes through a matrix-vector product,
+    which may round differently, and only a single query is one row).
+    Charges sqrt(N)*d + k^2 MACs per query.
     """
     q = queries.data if isinstance(queries, Tensor) else np.asarray(queries)
     if q.ndim != 2 or q.shape[1] != index.key_dim:
@@ -144,33 +160,42 @@ def retrieve_topk_batch(index: ProductKeyIndex, queries, k: int, counter: OpCoun
         raise ValueError(f"k must be in [1, sqrt(N)={sqrt_n}], got {k}")
     m = q.shape[0]
     half = index.key_dim // 2
-    s_left = q[:, :half] @ index.left.keys.data.T  # [m, sqrt_n]
-    s_right = q[:, half:] @ index.right.keys.data.T
+    left, right = index.left.keys.data.T, index.right.keys.data.T
+    tiles = max(1, -(-m // tile_rows(sqrt_n)))
+    bounds = [t * m // tiles for t in range(tiles + 1)]
+    indices = np.empty((m, k), np.int64)
+    scores = np.empty((m, k), np.result_type(q.dtype, left.dtype))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        s_left = q[lo:hi, :half] @ left  # [rows, sqrt_n]
+        s_right = q[lo:hi, half:] @ right
 
-    # per-side winners by sub-index: candidates then come out in ascending
-    # expert-id order and the stable top-k breaks ties by id
-    i_top = np.sort(top_k(s_left, k)[0], axis=-1)
-    j_top = np.sort(top_k(s_right, k)[0], axis=-1)
-    s1 = np.take_along_axis(s_left, i_top, axis=-1)
-    s2 = np.take_along_axis(s_right, j_top, axis=-1)
+        # per-side winners by sub-index: candidates then come out in ascending
+        # expert-id order and the stable top-k breaks ties by id
+        i_top = np.sort(top_k(s_left, k)[0], axis=-1)
+        j_top = np.sort(top_k(s_right, k)[0], axis=-1)
+        s1 = np.take_along_axis(s_left, i_top, axis=-1)
+        s2 = np.take_along_axis(s_right, j_top, axis=-1)
 
-    cand_scores = (s1[:, :, None] + s2[:, None, :]).reshape(m, k * k)
-    cand_ids = (i_top[:, :, None] * sqrt_n + j_top[:, None, :]).reshape(m, k * k)
-    sel, scores = top_k(cand_scores, k)
-    indices = np.take_along_axis(cand_ids, sel, axis=-1)
+        cand_scores = (s1[:, :, None] + s2[:, None, :]).reshape(hi - lo, k * k)
+        cand_ids = (i_top[:, :, None] * sqrt_n + j_top[:, None, :]).reshape(hi - lo, k * k)
+        sel, scores[lo:hi] = top_k(cand_scores, k)
+        indices[lo:hi] = np.take_along_axis(cand_ids, sel, axis=-1)
 
     if counter is not None:
         counter.add(macs=m * (sqrt_n * index.key_dim + k * k), comparisons=m * (2 * sqrt_n + k * k))
     count_macs(m * (sqrt_n * index.key_dim + k * k))
-    return indices.astype(np.int64), scores
+    return indices, scores
 
 
 def retrieve_exhaustive(index: ProductKeyIndex, query, k: int, counter: OpCounter | None = None) -> RetrievalResult:
     """Reference oracle: materialize all N full keys and score every expert.
 
-    Costs N*d multiply-accumulates. Inner products are evaluated as the sum
-    of the two half dot products, matching the summation order of the
-    product-key path so scores agree bitwise.
+    Costs N*d multiply-accumulates. Each inner product is the sum of the two
+    half dot products, as on the product-key path, so the ids agree with it
+    exactly; the scores agree up to the rounding of those two half-length
+    dot products, which BLAS may sum in another order here (in float32 at
+    d = 4 the last bit can differ). On integer-valued keys and queries every
+    score is exact, and both paths agree bitwise.
     """
     q = _check_query(index, query)
     sqrt_n = index.sqrt_n

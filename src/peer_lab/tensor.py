@@ -28,13 +28,15 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class Tensor:
-    """A dense n-d float array with an optional same-shape gradient buffer.
+    """A dense n-d float array with an optional same-shape gradient.
 
-    `grad_ids` holds the sorted unique rows of `grad` that may be nonzero when
-    every contribution to it came from a gathered-row adjoint, else None.
+    A gradient whose every contribution came from a gathered-row adjoint is
+    held row-sparse: `grad_ids`, the sorted unique rows that may be nonzero,
+    and `grad_rows`, their values. Reading `grad` builds the dense array from
+    them once; `grad_ids` and `grad_rows` are None for any other gradient.
     """
 
-    __slots__ = ("data", "grad", "grad_ids", "requires_grad")
+    __slots__ = ("data", "_grad", "grad_ids", "grad_rows", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -43,9 +45,19 @@ class Tensor:
         elif arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
-        self.grad: np.ndarray | None = None
+        self._grad: np.ndarray | None = None
         self.grad_ids: np.ndarray | None = None
+        self.grad_rows: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        if self._grad is None and self.grad_rows is not None:
+            # np.zeros, not zeros_like: pages no row lands on are never written
+            dense = np.zeros(self.data.shape, self.data.dtype)
+            dense[self.grad_ids] = self.grad_rows
+            self._grad = dense
+        return self._grad
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -56,8 +68,7 @@ class Tensor:
         return self.data.dtype
 
     def zero_grad(self) -> None:
-        self.grad = None
-        self.grad_ids = None
+        self._grad = self.grad_ids = self.grad_rows = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -125,20 +136,19 @@ class Tape:
                 bwd(out.grad)
 
 
-def _accum(t: Tensor, g: np.ndarray, ids: np.ndarray | None = None) -> None:
-    """Add one contribution to t.grad without writing into any array.
+def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add one dense contribution to t's gradient without writing into any array.
 
     A first contribution is kept as it is, although it may alias another
     tensor's gradient: no gradient is ever updated in place, so a later
-    contribution makes a new array (the bits of `+=`). `ids` are the sorted
-    unique rows outside which a row-sparse `g` is zero, None for a dense `g`.
+    contribution makes a new array (the bits of `+=`). A row-sparse gradient
+    held so far is added as its dense form.
     """
     if t.grad is None:
-        t.grad = g.astype(t.data.dtype, copy=False)
-        t.grad_ids = ids
+        t._grad = g.astype(t.data.dtype, copy=False)
     else:
-        t.grad = (t.grad + g).astype(t.data.dtype, copy=False)
-        t.grad_ids = None if ids is None or t.grad_ids is None else np.union1d(t.grad_ids, ids)
+        t._grad = (t.grad + g).astype(t.data.dtype, copy=False)
+    t.grad_ids = t.grad_rows = None
 
 
 def _register(out: Tensor, needs_grad: bool, backward) -> Tensor:
@@ -523,32 +533,48 @@ def cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def scatter_add_into(buf: np.ndarray, idx: np.ndarray, operand: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """buf[idx[i, j]] += weights[i, j] * operand[i] for every entry; returns the rows written.
+def scatter_add_into(table: Tensor, idx: np.ndarray, operand: np.ndarray, weights: np.ndarray | None = None) -> None:
+    """Add weights[i, j] * operand[i] into row idx[i, j] of table's gradient, for every entry.
 
     idx is [m, k] (or [m], with k = 1), operand [m, ...] and weights, shaped
-    like idx, default to ones. Each written row gets the sum of its entries,
-    taken in (i, j) order starting from zero and then added to buf: bit for
-    bit what a sequential Python loop over the entries into a zero buffer
-    gives. Entries are not merged beforehand, so an id repeated within one
-    i (a token's experts may share a sub-key) adds twice. Rows of buf no
-    entry names are not touched. Returns the sorted unique ids.
+    like idx, default to ones. Each named row gets the sum of its entries,
+    taken in (i, j) order starting from zero: bit for bit what a sequential
+    Python loop over the entries into a zero buffer gives. Entries are not
+    merged beforehand, so an id repeated within one i (a token's experts may
+    share a sub-key) adds twice. The sums are kept row-sparse (see Tensor)
+    when the gradient so far is row-sparse or absent; rows no entry names
+    are not touched.
     """
     flat = idx.reshape(-1)
+    dtype = table.data.dtype
     if flat.size == 0:
-        return flat.astype(np.intp)
-    m = operand.shape[0]
-    order = np.argsort(flat, kind="stable")
-    sorted_ids = flat[order]
-    starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
-    ids = sorted_ids[starts]
-    values = np.ones(flat.size, operand.dtype) if weights is None else weights.reshape(-1)[order]
-    # one CSR row per unique id, holding its entries in (i, j) order; the
-    # sparse-dense product sums each row sequentially in storage order
-    adjoint = csr_matrix((values, order // (flat.size // m), np.r_[starts, flat.size]), shape=(ids.size, m))
-    rows = buf.reshape(buf.shape[0], -1)
-    rows[ids] += adjoint @ operand.reshape(m, -1)
-    return ids
+        ids, rows = flat.astype(np.intp), np.zeros((0,) + table.data.shape[1:], dtype)
+    else:
+        m = operand.shape[0]
+        order = np.argsort(flat, kind="stable")
+        sorted_ids = flat[order]
+        starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
+        ids = sorted_ids[starts]
+        values = np.ones(flat.size, operand.dtype) if weights is None else weights.reshape(-1)[order]
+        # one CSR row per unique id, holding its entries in (i, j) order; the
+        # sparse-dense product sums each row sequentially in storage order
+        adjoint = csr_matrix((values, order // (flat.size // m), np.r_[starts, flat.size]), shape=(ids.size, m))
+        # each sum starts from +0.0, so no row is -0.0, as in a zero buffer
+        rows = (adjoint @ operand.reshape(m, -1)).astype(dtype, copy=False).reshape((ids.size,) + table.data.shape[1:])
+    if table._grad is not None and table.grad_rows is None:
+        # a dense gradient so far: add the zero-filled buffer (turning -0.0 into +0.0)
+        buf = np.zeros(table.data.shape, dtype)
+        buf[ids] = rows
+        _accum(table, buf)
+    elif table.grad_rows is None:
+        table.grad_ids, table.grad_rows = ids, rows
+    else:
+        # rows in both sums add; a row in one keeps its value (0.0 + x == x here)
+        union = np.union1d(table.grad_ids, ids)
+        merged = np.zeros((union.size,) + table.data.shape[1:], dtype)
+        merged[np.searchsorted(union, table.grad_ids)] = table.grad_rows
+        merged[np.searchsorted(union, ids)] += rows
+        table._grad, table.grad_ids, table.grad_rows = None, union, merged
 
 
 def _row_ids(table: Tensor, idx, op: str) -> np.ndarray:
@@ -558,13 +584,6 @@ def _row_ids(table: Tensor, idx, op: str) -> np.ndarray:
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
         raise IndexError(f"{op} index out of range [0, {table.data.shape[0]})")
     return idx
-
-
-def _accum_rows(table: Tensor, idx: np.ndarray, operand: np.ndarray, weights: np.ndarray | None = None) -> None:
-    """Add a gathered table's adjoint (see scatter_add_into) as a row-sparse gradient."""
-    # np.zeros, not zeros_like: pages no row lands on are never written
-    buf = np.zeros(table.data.shape, dtype=table.data.dtype)
-    _accum(table, buf, scatter_add_into(buf, idx, operand, weights))
 
 
 def gather_rows(table: Tensor, idx) -> Tensor:
@@ -578,7 +597,7 @@ def gather_rows(table: Tensor, idx) -> Tensor:
 
     def backward(g):
         if table.requires_grad:
-            _accum_rows(table, idx.reshape(-1), g.reshape((idx.size,) + table.data.shape[1:]))
+            scatter_add_into(table, idx.reshape(-1), g.reshape((idx.size,) + table.data.shape[1:]))
 
     return _register(out, table.requires_grad, backward)
 
@@ -600,7 +619,7 @@ def gather_dot(x: Tensor, table: Tensor, idx) -> Tensor:
         if x.requires_grad:
             _accum(x, np.einsum("mk,mkd->md", g, rows))
         if table.requires_grad:
-            _accum_rows(table, idx, x.data, g)
+            scatter_add_into(table, idx, x.data, g)
 
     return _register(out, x.requires_grad or table.requires_grad, backward)
 
@@ -622,7 +641,7 @@ def gather_weighted_sum(w: Tensor, table: Tensor, idx) -> Tensor:
         if w.requires_grad:
             _accum(w, np.einsum("md,mkd->mk", g, rows))
         if table.requires_grad:
-            _accum_rows(table, idx, g, w.data)
+            scatter_add_into(table, idx, g, w.data)
 
     return _register(out, w.requires_grad or table.requires_grad, backward)
 

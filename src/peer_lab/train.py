@@ -9,7 +9,8 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,64 +41,142 @@ class TrainConfig:
 
 
 @dataclass
+class RowMoments:
+    """Adam moments of a parameter held as its live rows.
+
+    `ids` are sorted unique rows; `m` and `v` hold their moments, [r, ...].
+    Every other row has moments of +0.0 and, so far, had a zero gradient.
+    """
+
+    shape: tuple[int, ...]
+    dtype: np.dtype
+    ids: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+
+    @classmethod
+    def empty(cls, shape: tuple[int, ...], dtype) -> "RowMoments":
+        rows = np.zeros((0,) + shape[1:], dtype)
+        return cls(shape, dtype, np.zeros(0, np.intp), rows, rows.copy())
+
+    def dense(self) -> tuple[np.ndarray, np.ndarray]:
+        """Fresh [N, ...] arrays of m and v."""
+        # np.zeros, not zeros_like: pages of rows that are not live are never written
+        m, v = np.zeros(self.shape, self.dtype), np.zeros(self.shape, self.dtype)
+        m[self.ids], v[self.ids] = self.m, self.v
+        return m, v
+
+    def take(self, ids: np.ndarray) -> None:
+        """Make `ids`, a sorted superset of the live rows, the live rows; new rows start at +0.0."""
+        if ids.size == self.ids.size:
+            return
+        at = np.searchsorted(ids, self.ids)
+        m, v = (np.zeros((ids.size,) + self.shape[1:], self.dtype) for _ in range(2))
+        m[at], v[at] = self.m, self.v
+        self.ids, self.m, self.v = ids, m, v
+
+
+class Moments(Mapping):
+    """Adam moments by parameter name; reading one gives dense (m, v) arrays.
+
+    `held` maps each name to a dense (m, v) pair or to `RowMoments`. A
+    parameter of 2+ dims starts as `RowMoments` and turns dense for good
+    once more than half its rows are live; reading it while it is held as
+    rows builds fresh dense arrays, which a write does not reach.
+    """
+
+    def __init__(self, held: dict[str, tuple[np.ndarray, np.ndarray] | RowMoments]):
+        self.held = held
+
+    def __getitem__(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        held = self.held[name]
+        return held.dense() if isinstance(held, RowMoments) else held
+
+    def __iter__(self):
+        return iter(self.held)
+
+    def __len__(self) -> int:
+        return len(self.held)
+
+
+@dataclass
 class TrainState:
     step: int
-    moments: dict[str, tuple[np.ndarray, np.ndarray]]
+    moments: Moments
     rng: np.random.Generator
     running_loss: float = 0.0
-    # per parameter of 2+ dims: a mask of the rows whose moments may be
-    # nonzero. A cache, not saved in checkpoints; a missing entry is rebuilt
-    # from the moments.
-    live: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def init_train_state(model: Model, cfg: TrainConfig) -> TrainState:
-    # np.zeros, not zeros_like: pages of rows the optimizer never updates are never written
-    params = model.named_parameters()
-    moments = {name: (np.zeros(p.data.shape, p.data.dtype), np.zeros(p.data.shape, p.data.dtype)) for name, p in params.items()}
-    live = {name: np.zeros(p.data.shape[0], dtype=bool) for name, p in params.items() if p.data.ndim >= 2}
-    return TrainState(step=0, moments=moments, rng=np.random.default_rng(cfg.seed), live=live)
+    held = {}
+    for name, p in model.named_parameters().items():
+        if p.data.ndim >= 2:
+            held[name] = RowMoments.empty(p.data.shape, p.data.dtype)
+        else:
+            held[name] = (np.zeros(p.data.shape, p.data.dtype), np.zeros(p.data.shape, p.data.dtype))
+    return TrainState(step=0, moments=Moments(held), rng=np.random.default_rng(cfg.seed))
 
 
 def _nonzero_rows(a: np.ndarray) -> np.ndarray:
-    """Rows of `a` with any bit set (so -0.0 counts as nonzero)."""
-    return a.reshape(a.shape[0], -1).view(np.dtype(f"u{a.itemsize}")).any(axis=1)
+    """Ids of the rows of `a` with any bit set (so -0.0 counts as nonzero)."""
+    return np.flatnonzero(a.reshape(a.shape[0], -1).view(np.dtype(f"u{a.itemsize}")).any(axis=1))
 
 
-def _live_rows(name: str, p: Tensor, m: np.ndarray, v: np.ndarray, live: dict[str, np.ndarray]) -> np.ndarray | None:
-    """Rows of `p` an Adam step can change, or None to update every row.
+def _live_grad(p: Tensor, live: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The rows an Adam step can change and p's gradient on them (None: all zero).
 
     On a row whose gradient and moments are all zero, Adam leaves the
-    parameter and both moments bitwise unchanged, so only rows with a nonzero
-    gradient or nonzero moments need the update. A table read only through
-    gathered rows names the rows its gradient covers (`p.grad_ids`); any
-    other gradient is scanned for rows with a bit set.
+    parameter and both moments bitwise unchanged, so only the `live` rows
+    (nonzero moments) and the rows of a nonzero gradient need the update.
+    A gradient held row-sparse names its rows; any other gradient is
+    scanned for rows with a bit set.
     """
-    if p.data.ndim < 2:
-        return None
-    mask = live.get(name)
-    if mask is None:
-        mask = live[name] = _nonzero_rows(m) | _nonzero_rows(v)
-    if p.grad is not None:
-        if p.grad_ids is None:
-            mask |= _nonzero_rows(p.grad)
-        else:
-            mask[p.grad_ids] = True
-    rows = np.flatnonzero(mask)
-    return rows if 2 * rows.size <= mask.size else None
+    if p.grad_rows is not None:
+        ids, rows = p.grad_ids, p.grad_rows
+    elif p.grad is not None:
+        ids = _nonzero_rows(p.grad)
+        rows = None
+    else:
+        return live, None
+    union, at = _union(live, ids)
+    if rows is None:
+        return union, p.grad[union]
+    if union.size == ids.size:
+        return union, rows
+    g = np.zeros((union.size,) + rows.shape[1:], rows.dtype)
+    g[at] = rows
+    return union, g
+
+
+def _union(live: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted union of the sorted unique `live` and `ids`, and where each of `ids` sits in it."""
+    if live.size:
+        at = np.searchsorted(live, ids)
+        if np.array_equal(live[np.minimum(at, live.size - 1)], ids):
+            return live, at  # no new row: the common case once the live set settles
+    union = np.union1d(live, ids)
+    return union, np.searchsorted(union, ids)
 
 
 def _adam(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, lr_t: float, step: int, cfg: TrainConfig) -> None:
-    """One in-place Adam update. Elementwise, so on a subset of rows it gives
-    the same bits as on the whole array."""
+    """One in-place Adam update, through two temporary arrays. Elementwise, so
+    on a subset of rows it gives the same bits as on the whole array."""
     b1, b2 = cfg.beta1, cfg.beta2
     bias1 = 1.0 - b1**step
     bias2 = 1.0 - b2**step
+    t, u = np.empty_like(p), np.empty_like(p)
     m *= b1
-    m += (1.0 - b1) * g
+    m += np.multiply(g, 1.0 - b1, out=t)
     v *= b2
-    v += (1.0 - b2) * (g * g)
-    p -= (lr_t / bias1) * m / (np.sqrt(v / bias2) + cfg.eps)
+    np.multiply(g, g, out=t)
+    t *= 1.0 - b2
+    v += t
+    np.divide(v, bias2, out=t)
+    np.sqrt(t, out=t)
+    t += cfg.eps
+    np.multiply(m, lr_t / bias1, out=u)
+    u /= t
+    p -= u
 
 
 def train_step(model: Model, corpus: Corpus, state: TrainState, cfg: TrainConfig) -> dict:
@@ -119,16 +198,19 @@ def train_step(model: Model, corpus: Corpus, state: TrainState, cfg: TrainConfig
     step = state.step + 1
     lr_t = cfg.lr * min(1.0, step / max(1, cfg.warmup))
     for name, p in params.items():
-        m, v = state.moments[name]
-        rows = _live_rows(name, p, m, v, state.live)
-        if rows is None:
-            g = p.grad if p.grad is not None else np.zeros(p.data.shape, p.data.dtype)
-            _adam(p.data, g, m, v, lr_t, step, cfg)
-            continue
-        p_rows, m_rows, v_rows = p.data[rows], m[rows], v[rows]
-        g = p.grad[rows] if p.grad is not None else np.zeros_like(p_rows)
-        _adam(p_rows, g, m_rows, v_rows, lr_t, step, cfg)
-        p.data[rows], m[rows], v[rows] = p_rows, m_rows, v_rows
+        held = state.moments.held[name]
+        if isinstance(held, RowMoments):
+            ids, g = _live_grad(p, held.ids)
+            if 2 * ids.size <= p.data.shape[0]:
+                held.take(ids)
+                rows = p.data[ids]
+                _adam(rows, np.zeros_like(rows) if g is None else g, held.m, held.v, lr_t, step, cfg)
+                p.data[ids] = rows
+                continue
+            held = state.moments.held[name] = held.dense()
+        m, v = held
+        g = p.grad if p.grad is not None else np.zeros(p.data.shape, p.data.dtype)
+        _adam(p.data, g, m, v, lr_t, step, cfg)
 
     state.step = step
     state.running_loss = loss_value if step == 1 else 0.99 * state.running_loss + 0.01 * loss_value
@@ -246,16 +328,20 @@ def load_train_checkpoint(path, model: Model) -> TrainState:
     """Restore parameters, optimizer moments, and RNG into a fresh TrainState."""
     tensors = load_checkpoint(path)
     model.load_tensors(tensors)
-    moments = {}
+    held = {}
     for name, p in model.named_parameters().items():
-        m = tensors[f"opt.m.{name}"].astype(p.data.dtype, copy=True)
-        v = tensors[f"opt.v.{name}"].astype(p.data.dtype, copy=True)
-        moments[name] = (m, v)
+        m = tensors[f"opt.m.{name}"].astype(p.data.dtype, copy=False)
+        v = tensors[f"opt.v.{name}"].astype(p.data.dtype, copy=False)
+        held[name] = (m, v)
+        if p.data.ndim >= 2:
+            ids = np.union1d(_nonzero_rows(m), _nonzero_rows(v))
+            if 2 * ids.size <= p.data.shape[0]:
+                held[name] = RowMoments(p.data.shape, p.data.dtype, ids, m[ids], v[ids])
     rng = np.random.default_rng(0)
     rng.bit_generator.state = json.loads(tensors["train.rng"].tobytes().decode("utf-8"))
     return TrainState(
         step=int(tensors["train.step"]),
-        moments=moments,
+        moments=Moments(held),
         rng=rng,
         running_loss=float(tensors["train.running_loss"]),
     )

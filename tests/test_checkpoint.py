@@ -131,6 +131,19 @@ class TestContainer:
             tracemalloc.stop()
         assert peak < 4 * 2**20, f"saving 64 MiB peaked at {peak / 2**20:.1f} MiB of new allocations"
 
+    def test_load_holds_the_file_once(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, {f"w{i}": np.full((1024, 4096), i, dtype=np.float32) for i in range(4)})  # 64 MiB
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < size + 2**20, f"loading {size / 2**20:.1f} MiB peaked at {peak / 2**20:.1f} MiB"
+        assert all(np.all(loaded[f"w{i}"] == i) for i in range(4))
+
 
 class TestDamagedFiles:
     TENSORS = {
@@ -155,6 +168,16 @@ class TestDamagedFiles:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 1])
         with pytest.raises(ValueError, match=r"entry 2 of 3 \('meta.config'\), starting at byte \d+: tensor data"):
+            load_checkpoint(path)
+
+    def test_bad_dtype_tag_names_the_entry_and_offset(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, self.TENSORS)
+        raw = bytearray(path.read_bytes())
+        record = raw.index(b"train.step") + len(b"train.step")
+        raw[record] = 9
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=rf"entry 1 of 3 \('train.step'\), starting at byte \d+: unknown tensor dtype tag 9 at byte {record}"):
             load_checkpoint(path)
 
     def test_trailing_byte_raises(self, tmp_path):

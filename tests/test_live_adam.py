@@ -2,9 +2,10 @@
 
 train_step updates only the live rows of a 2-d parameter: rows with a nonzero
 gradient this step plus rows with nonzero moments, unless more than half the
-rows are live. Every other row has zero gradient and zero moments, where
-dense Adam changes no bit, so parameters and moments must match the dense
-loop below exactly.
+rows are live. Until then it holds the parameter's moments as those rows
+only. Every other row has zero gradient and zero moments, where dense Adam
+changes no bit, so parameters and moments must match the dense loop below
+exactly, and so must a checkpoint's bytes.
 """
 
 import importlib
@@ -17,7 +18,8 @@ from peer_lab.data import Corpus
 from peer_lab.model import ModelConfig, build_model
 from peer_lab.peer import PeerConfig
 from peer_lab.tensor import Tape, Tensor
-from peer_lab.train import TrainConfig, init_train_state, load_train_checkpoint, save_train_checkpoint, train_step
+from peer_lab.checkpoint import load_checkpoint, save_checkpoint
+from peer_lab.train import Moments, RowMoments, TrainConfig, TrainState, init_train_state, load_train_checkpoint, save_train_checkpoint, train_step
 
 # the module, not the train() function that peer_lab re-exports under that name
 train_mod = importlib.import_module("peer_lab.train")
@@ -91,7 +93,7 @@ def adam_calls(monkeypatch):
 
 
 class TestPeerModel:
-    def test_steps_equal_dense_adam_and_untouched_rows_stay_zero(self, adam_calls):
+    def test_steps_equal_dense_adam_and_untouched_rows_stay_zero(self, adam_calls, tmp_path):
         model, ref = build_model(peer_config()), build_model(peer_config())
         data = corpus()
         initial = {name: p.data.copy() for name, p in model.named_parameters().items()}
@@ -118,6 +120,13 @@ class TestPeerModel:
             assert not m[never].any() and not v[never].any()
             assert same_bits(model.named_parameters()[name].data[never], initial[name][never])
 
+        # a checkpoint of the row-held moments has the bytes of the dense reference's
+        assert all(isinstance(state.moments.held[name], RowMoments) for name in EXPERTS)
+        save_train_checkpoint(tmp_path / "rows.bin", model, state)
+        dense_state = TrainState(step=state.step, moments=Moments(ref_moments), rng=ref_rng, running_loss=state.running_loss)
+        save_train_checkpoint(tmp_path / "dense.bin", ref, dense_state)
+        assert (tmp_path / "rows.bin").read_bytes() == (tmp_path / "dense.bin").read_bytes()
+
     def test_resume_mid_run_equals_uninterrupted(self, tmp_path):
         data = corpus()
         full = build_model(peer_config())
@@ -133,13 +142,17 @@ class TestPeerModel:
 
         resumed = build_model(peer_config())
         state = load_train_checkpoint(tmp_path / "mid.bin", resumed)
-        assert state.live == {}  # not saved: rebuilt from the moments on the next step
+        for name in EXPERTS:
+            # not saved: rebuilt from the rows of the stored moments with a bit set
+            m, v = first_state.moments[name]
+            assert np.array_equal(state.moments.held[name].ids, np.flatnonzero(m.any(axis=1) | v.any(axis=1)))
         for _ in range(3):
             train_step(resumed, data, state, CFG)
         assert_same_state(resumed, state.moments, full, full_state.moments)
         for name in EXPERTS:
-            # rebuilt from the moments: no wider than the uninterrupted run's mask
-            assert state.live[name].any() and not (state.live[name] & ~full_state.live[name]).any()
+            # no wider than the uninterrupted run's live rows
+            ids = state.moments.held[name].ids
+            assert ids.size and np.isin(ids, full_state.moments.held[name].ids).all()
 
 
 class TableModel:
@@ -157,6 +170,13 @@ class TableModel:
 
     def named_parameters(self):
         return {"table": self.table, "vec": self.vec}
+
+    def named_state(self):
+        return {}
+
+    def load_tensors(self, tensors):
+        for name, p in self.named_parameters().items():
+            p.data = tensors[name].copy()
 
     def loss(self, x, y, mode="train"):
         loss = T.sum_all(T.mul(self.vec, self.vec))
@@ -196,16 +216,21 @@ def test_table_without_gradient_and_mixed_gradient(adam_calls):
             assert table_rows == (4 if step < 4 else 12)
 
 
-def test_negative_zero_moment_makes_its_row_live():
+def test_negative_zero_moment_makes_its_row_live(tmp_path):
     # dense Adam turns a -0.0 moment on a row with zero gradient into +0.0, so
-    # that row must be updated although all its values compare equal to zero
+    # a checkpoint load must keep that row live although all its values
+    # compare equal to zero
     data = Corpus.from_bytes(b"abcd" * 512)
     model, ref = TableModel(), TableModel()
-    state = init_train_state(model, CFG)
+    path = tmp_path / "ckpt.bin"
+    save_train_checkpoint(path, model, init_train_state(model, CFG))
+    tensors = load_checkpoint(path)
+    tensors["opt.m.table"][200] = -0.0
+    save_checkpoint(path, tensors)
+    state = load_train_checkpoint(path, model)
+    assert state.moments.held["table"].ids.tolist() == [200]
     ref_moments = {n: (np.zeros_like(p.data), np.zeros_like(p.data)) for n, p in ref.named_parameters().items()}
-    for moments in (state.moments, ref_moments):
-        moments["table"][0][200] = -0.0
-    state.live = {}  # rebuilt from the moments, as after a checkpoint load
+    ref_moments["table"][0][200] = -0.0
     train_step(model, data, state, CFG)
     dense_adam_step(ref, ref.loss, data, np.random.default_rng(CFG.seed), ref_moments, 1)
     assert_same_state(model, state.moments, ref, ref_moments)

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peer_lab import product_keys
 from peer_lab.product_keys import (
     OpCounter,
     build_index,
     retrieve_exhaustive,
     retrieve_topk,
     retrieve_topk_batch,
+    tile_rows,
 )
 
 
@@ -174,6 +176,21 @@ class TestOracleEquivalence:
         assert got.indices.tolist() == want.indices.tolist()
         assert got.scores.tolist() == want.scores.tolist()
 
+    def test_float32_scores_agree_up_to_the_half_dot_rounding(self):
+        # N=16, d=4 in float32: the ids agree, but some scores differ in the
+        # last bit, within the rounding of two half-length dot products
+        index = build_index(16, 4, seed=3, dtype=np.float32)
+        queries = np.random.default_rng(3).normal(size=(12, 4)).astype(np.float32)
+        differ = 0
+        for q in queries:
+            for k in (1, 2, 4):
+                got, want = retrieve_topk(index, q, k), retrieve_exhaustive(index, q, k)
+                assert np.array_equal(got.indices, want.indices)
+                tol = 2 * 2 * np.finfo(np.float32).eps * max(1.0, float(np.abs(want.scores).max()))
+                assert np.allclose(got.scores, want.scores, rtol=0.0, atol=tol)
+                differ += got.scores.tobytes() != want.scores.tobytes()
+        assert differ > 0  # so the docstring's caveat is real
+
     def test_score_decomposition(self):
         rng = np.random.default_rng(11)
         for trial in range(20):
@@ -225,3 +242,39 @@ class TestBatchedRetrieval:
         queries[3, 2] = np.inf
         with pytest.raises(ValueError, match="2 of 5 query rows are non-finite"):
             retrieve_topk_batch(build_index(256, 8, seed=0), queries, 4)
+
+
+class TestTiledRetrieval:
+    """Rows go through retrieve_topk_batch in near-equal tiles of at most
+    tile_rows(sqrt_n) rows; the result must not depend on the tiling."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [16, 4096, 65536])
+    def test_tiles_equal_the_untiled_block_and_the_oracle(self, n, dtype, monkeypatch):
+        d, k = 16, 4
+        rng = np.random.default_rng(n)
+        index = build_index(n, d, seed=4, dtype=dtype)
+        # integer-valued keys and queries score exactly, with ties between experts
+        whole = build_index(n, d, seed=4, dtype=dtype)
+        for keys in (whole.left.keys, whole.right.keys):
+            keys.data[:] = np.round(keys.data * 3)
+        t = tile_rows(index.sqrt_n)
+        for m in (1, 2, t - 1, t, t + 1, 2 * t + 1):
+            queries = rng.normal(size=(m, d)).astype(dtype)
+            ints = np.round(queries * 2)
+            for idx, q, exact in ((index, queries, False), (whole, ints, True)):
+                ids, scores = retrieve_topk_batch(idx, q, k)
+                with monkeypatch.context() as patch:
+                    patch.setattr(product_keys, "TILE_SCORES", 1 << 40)
+                    untiled_ids, untiled_scores = retrieve_topk_batch(idx, q, k)
+                assert ids.tobytes() == untiled_ids.tobytes() and scores.tobytes() == untiled_scores.tobytes(), m
+                tiles = -(-m // t)
+                edges = {b for i in range(1, tiles) for b in (i * m // tiles - 1, i * m // tiles)}
+                for r in sorted(edges | {0, m - 1} | set(rng.integers(0, m, size=4).tolist())):
+                    ref = retrieve_exhaustive(idx, q[r], k)
+                    assert np.array_equal(ids[r], ref.indices), (m, r)
+                    if exact:
+                        assert scores[r].tobytes() == ref.scores.tobytes(), (m, r)
+                    else:
+                        tol = 2 * (d // 2) * np.finfo(dtype).eps * max(1.0, float(np.abs(ref.scores).max()))
+                        assert np.allclose(scores[r], ref.scores, rtol=0.0, atol=tol), (m, r)

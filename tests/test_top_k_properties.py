@@ -14,7 +14,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from peer_lab.product_keys import build_index, retrieve_exhaustive, retrieve_topk, retrieve_topk_batch  # noqa: E402
+from peer_lab.product_keys import build_index, retrieve_exhaustive, retrieve_topk, retrieve_topk_batch, tile_rows  # noqa: E402
 from peer_lab.tensor import top_k  # noqa: E402
 
 SPECIALS = (0.0, -0.0, np.inf, -np.inf, np.nan)
@@ -72,20 +72,26 @@ def test_wide_rows_with_planted_ties_and_nan():
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_batched_retrieval_equals_exhaustive_on_integer_keys(data):
-    # integer-valued keys and queries: every score is exact, and ties abound
+    # integer-valued keys and queries: every score is exact, and ties abound.
+    # m may cross a retrieval tile boundary; its rows then repeat a drawn block
+    # of at most 6, so each row's result must equal its block row's
     sqrt_n = data.draw(st.integers(1, 40), label="sqrt_n")
     half = data.draw(st.integers(1, 3), label="half")
     k = data.draw(st.integers(1, sqrt_n), label="k")
-    m = data.draw(st.integers(1, 6), label="m")
+    t = tile_rows(sqrt_n)
+    m = data.draw(st.one_of(st.integers(1, 6), st.sampled_from([t - 1, t + 1])), label="m")
     dtype = data.draw(DTYPES, label="dtype")
     small = st.integers(-2, 2).map(float)
     index = build_index(sqrt_n * sqrt_n, 2 * half, seed=0, dtype=dtype)
     index.left.keys.data[:] = data.draw(hnp.arrays(dtype, (sqrt_n, half), elements=small))
     index.right.keys.data[:] = data.draw(hnp.arrays(dtype, (sqrt_n, half), elements=small))
-    queries = data.draw(hnp.arrays(dtype, (m, 2 * half), elements=small))
+    block = data.draw(hnp.arrays(dtype, (min(m, 6), 2 * half), elements=small))
+    queries = np.resize(block, (m, 2 * half))
 
     ids, scores = retrieve_topk_batch(index, queries, k)
-    for r in range(m):
+    b = block.shape[0]
+    assert same_bits(ids, np.resize(ids[:b], ids.shape)) and same_bits(scores, np.resize(scores[:b], scores.shape))
+    for r in range(b):
         ref = retrieve_exhaustive(index, queries[r], k)
         assert np.array_equal(ids[r], ref.indices)
         assert np.array_equal(scores[r], ref.scores)
