@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import DenseConfig, MoeConfig, PkmConfig
-from .peer import PeerConfig
 from .tensor import MacMeter, Tensor
 
 # forward + backward costs roughly 3x the forward parameter MACs
@@ -34,49 +32,17 @@ class ParamCounts:
     expert: int  # parameters of a single expert / memory slot
     granularity: float  # active / expert
 
-    def as_tuple(self) -> tuple[int, int, int]:
-        return self.total, self.active, self.expert
-
-
-def _bn_numel(query_dim: int) -> int:
-    # scale, shift, running mean, running var
-    return 4 * query_dim
-
-
-def _router_numel(cfg) -> int:
-    """Sub-keys, query nets and query BN of a PEER or PKM router."""
-    total = 2 * math.isqrt(cfg.n_keys) * (cfg.query_dim // 2) + cfg.heads * cfg.d_model * cfg.query_dim
-    return total + (_bn_numel(cfg.query_dim) if cfg.query_bn else 0)
-
 
 def param_counts(cfg, bias_accounting: bool = True) -> ParamCounts:
-    """Exact serialized-size totals plus the active/expert accounting.
+    """Exact serialized-size totals plus the active/expert accounting of a
+    middle-layer config.
 
     For single-hidden-layer experts the per-expert count is
     (2 * d_model + bias) * d_expert with one bias slot per hidden neuron by
     convention; pass bias_accounting=False for the literal bias-free count
     (our experts carry no biases).
     """
-    if isinstance(cfg, PeerConfig):
-        per_neuron = 2 * cfg.d_model + (1 if bias_accounting else 0)
-        expert = per_neuron  # d_expert = 1
-        active = per_neuron * cfg.heads * cfg.topk
-        total = cfg.n_experts * (3 if cfg.glu else 2) * cfg.d_model + _router_numel(cfg)
-        return ParamCounts(total=total, active=active, expert=expert, granularity=active / expert)
-    if isinstance(cfg, DenseConfig):
-        total = 2 * cfg.d_model * cfg.d_ff
-        return ParamCounts(total=total, active=total, expert=total, granularity=1.0)
-    if isinstance(cfg, PkmConfig):
-        expert = cfg.d_model  # one constant memory vector
-        active = expert * cfg.heads * cfg.topk
-        total = cfg.n_memories * cfg.d_model + _router_numel(cfg)
-        return ParamCounts(total=total, active=active, expert=expert, granularity=active / expert)
-    if isinstance(cfg, MoeConfig):
-        expert = 2 * cfg.d_model * cfg.d_ff
-        active = cfg.granularity * expert
-        total = cfg.n_experts * expert + cfg.d_model * cfg.n_experts
-        return ParamCounts(total=total, active=active, expert=expert, granularity=float(cfg.granularity))
-    raise TypeError(f"unsupported layer config type {type(cfg).__name__}")
+    return cfg.param_counts(bias_accounting)
 
 
 # ---------------------------------------------------------------------------
@@ -84,23 +50,9 @@ def param_counts(cfg, bias_accounting: bool = True) -> ParamCounts:
 # ---------------------------------------------------------------------------
 
 
-def _router_macs(cfg) -> int:
-    """Per token and head of a PEER or PKM router: the query net, both
-    sides' sub-key scores and the k^2 candidate sums."""
-    return cfg.heads * (cfg.d_model * cfg.query_dim + math.isqrt(cfg.n_keys) * cfg.query_dim + cfg.topk * cfg.topk)
-
-
 def mac_per_token(cfg) -> int:
     """Parameter-touching multiply-accumulates per token for one layer."""
-    if isinstance(cfg, PeerConfig):
-        return _router_macs(cfg) + (3 if cfg.glu else 2) * cfg.d_model * cfg.heads * cfg.topk
-    if isinstance(cfg, DenseConfig):
-        return 2 * cfg.d_model * cfg.d_ff
-    if isinstance(cfg, PkmConfig):
-        return _router_macs(cfg) + cfg.d_model * cfg.topk * cfg.heads
-    if isinstance(cfg, MoeConfig):
-        return cfg.d_model * cfg.n_experts + cfg.granularity * 2 * cfg.d_model * cfg.d_ff
-    raise TypeError(f"unsupported layer config type {type(cfg).__name__}")
+    return cfg.mac_per_token()
 
 
 def measured_mac_per_token(layer, n_tokens: int = 64, seed: int = 0) -> int:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .analysis import ParamCounts
 # retrieve_topk_batch is not called here; it stays bound in this module,
 # where tools that time the layers (perfbench/spans.py) look for it.
 from .product_keys import (  # noqa: F401
@@ -34,6 +35,13 @@ class DenseConfig:
     d_ff: int = 256
     activation: str = "gelu"
 
+    def mac_per_token(self) -> int:
+        return 2 * self.d_model * self.d_ff
+
+    def param_counts(self, bias_accounting: bool = True) -> ParamCounts:
+        total = 2 * self.d_model * self.d_ff
+        return ParamCounts(total=total, active=total, expert=total, granularity=1.0)
+
 
 class DenseFFW:
     """y = activation(x @ w_in) @ w_out, bias-free."""
@@ -56,9 +64,6 @@ class DenseFFW:
 
     def named_state(self) -> dict[str, np.ndarray]:
         return {}
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        pass
 
     def forward(self, x: Tensor, mode: str = "infer", collect_routing: bool = False):
         return dense_forward(self, x), None
@@ -89,6 +94,15 @@ class PkmConfig(RouterConfig):
     query_bn: bool = True
 
     keys_field = "n_memories"
+
+    def mac_per_token(self) -> int:
+        return self.router_macs() + self.d_model * self.topk * self.heads
+
+    def param_counts(self, bias_accounting: bool = True) -> ParamCounts:
+        expert = self.d_model  # one constant memory vector
+        active = expert * self.heads * self.topk
+        total = self.n_memories * self.d_model + self.router_numel()
+        return ParamCounts(total=total, active=active, expert=expert, granularity=active / expert)
 
 
 class PkmLayer(ProductKeyLayer):
@@ -146,6 +160,14 @@ class MoeConfig:
         if self.granularity < 1:
             raise ValueError(f"granularity must be >= 1, got {self.granularity}")
 
+    def mac_per_token(self) -> int:
+        return self.d_model * self.n_experts + self.granularity * 2 * self.d_model * self.d_ff
+
+    def param_counts(self, bias_accounting: bool = True) -> ParamCounts:
+        expert = 2 * self.d_model * self.d_ff
+        total = self.n_experts * expert + self.d_model * self.n_experts
+        return ParamCounts(total=total, active=self.granularity * expert, expert=expert, granularity=float(self.granularity))
+
 
 class ExpertChoiceMoE:
     """Each expert picks its own top-capacity tokens, so load is balanced."""
@@ -174,9 +196,6 @@ class ExpertChoiceMoE:
 
     def named_state(self) -> dict[str, np.ndarray]:
         return {}
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        pass
 
     def forward(self, x: Tensor, mode: str = "infer", collect_routing: bool = False):
         return expert_choice_forward(self, x), None

@@ -117,3 +117,12 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     if offset != size:
         raise ValueError(f"checkpoint {path}: {size - offset} bytes left over after the last entry, at byte {offset}")
     return tensors
+
+
+def checked_entry(tensors: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """tensors[name], which a checkpoint must hold with the model's `shape`."""
+    if name not in tensors:
+        raise ValueError(f"checkpoint is missing tensor {name!r}")
+    if tensors[name].shape != tuple(shape):
+        raise ValueError(f"shape mismatch for {name}: checkpoint {tensors[name].shape} vs model {tuple(shape)}")
+    return tensors[name]

@@ -10,12 +10,12 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .config import default_config, format_config, load_config
+from .config import dataclass_from_flat, default_config, format_config, load_config
 from .data import Corpus
 from .model import build_model, model_config_from_flat
 from .peer import PeerConfig, record_usage
-from .product_keys import OpCounter, build_index, retrieve_exhaustive, retrieve_topk
-from .tensor import grad_check_detail
+from .product_keys import ProductKeyLayer, build_index, retrieve_exhaustive, retrieve_topk
+from .tensor import MacMeter, grad_check_detail
 from .train import (
     TrainConfig,
     checkpoint_config_text,
@@ -50,17 +50,7 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     model = build_model(model_config_from_flat(cfg))
-    tc = TrainConfig(
-        steps=cfg["train.steps"],
-        batch=cfg["train.batch"],
-        lr=cfg["train.lr"],
-        warmup=cfg["train.warmup"],
-        beta1=cfg["train.beta1"],
-        beta2=cfg["train.beta2"],
-        eps=cfg["train.eps"],
-        checkpoint_interval=cfg["train.checkpoint_interval"],
-        seed=cfg["train.seed"],
-    )
+    tc = dataclass_from_flat(TrainConfig, cfg, "train")
     state = None
     if args.resume:
         state = load_train_checkpoint(args.resume, model)
@@ -103,19 +93,19 @@ def cmd_retrieve_bench(args) -> int:
         index = build_index(args.n, args.d, seed=args.seed + trial)
         query = rng.normal(size=args.d)
 
-        c_prod = OpCounter()
-        t0 = time.perf_counter_ns()
-        r_prod = retrieve_topk(index, query, args.k, c_prod)
-        t_prod = time.perf_counter_ns() - t0
+        with MacMeter() as m_prod:
+            t0 = time.perf_counter_ns()
+            r_prod = retrieve_topk(index, query, args.k)
+            t_prod = time.perf_counter_ns() - t0
 
-        c_ex = OpCounter()
-        t0 = time.perf_counter_ns()
-        r_ex = retrieve_exhaustive(index, query, args.k, c_ex)
-        t_ex = time.perf_counter_ns() - t0
+        with MacMeter() as m_ex:
+            t0 = time.perf_counter_ns()
+            r_ex = retrieve_exhaustive(index, query, args.k)
+            t_ex = time.perf_counter_ns() - t0
 
         match = int(np.array_equal(r_prod.indices, r_ex.indices) and np.array_equal(r_prod.scores, r_ex.scores))
-        lines.append(f"{args.n},{args.d},{args.k},product,{c_prod.multiply_accumulate_count},{c_prod.comparison_count},{t_prod},{match}")
-        lines.append(f"{args.n},{args.d},{args.k},exhaustive,{c_ex.multiply_accumulate_count},{c_ex.comparison_count},{t_ex},{match}")
+        lines.append(f"{args.n},{args.d},{args.k},product,{m_prod.total},{m_prod.comparisons},{t_prod},{match}")
+        lines.append(f"{args.n},{args.d},{args.k},exhaustive,{m_ex.total},{m_ex.comparisons},{t_ex},{match}")
     text = "\n".join(lines) + "\n"
     if args.out and args.out != "-":
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -152,9 +142,9 @@ def cmd_metrics(args) -> int:
     if args.data:
         cfg["data.path"] = args.data
     model = build_model(model_config_from_flat(cfg))
-    load_train_checkpoint(args.checkpoint, model)
-    if cfg["model.middle_layer"] not in ("peer", "pkm"):
+    if not isinstance(model.middle, ProductKeyLayer):
         raise SystemExit(f"middle layer {cfg['model.middle_layer']!r} has no routed experts to measure")
+    load_train_checkpoint(args.checkpoint, model)
     corpus = _corpus_from_cfg(cfg)
     windows = corpus.val_windows(model.config.seq_len)
     if not windows:

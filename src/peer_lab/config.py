@@ -7,6 +7,7 @@ error. Values not set fall back to the desk-scale defaults.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Callable
 
 
@@ -25,6 +26,7 @@ def _choice(*options: str) -> Callable[[str], str]:
             raise ValueError(f"expected one of {options}, got {s!r}")
         return s
 
+    cast.options = options
     return cast
 
 
@@ -105,6 +107,22 @@ def parse_config(text: str) -> dict[str, Any]:
         except ValueError as e:
             raise ValueError(f"line {lineno}: bad value for {key}: {e}") from e
     return cfg
+
+
+def dataclass_from_flat(cls, cfg: dict[str, Any], prefix: str, **fallback):
+    """An instance of the dataclass `cls` built from flat keys.
+
+    Field `f` takes `cfg[f"{prefix}.{f}"]` when SCHEMA has that key, else
+    `fallback[f]` when given, else its default.
+    """
+    values = {}
+    for field in dataclasses.fields(cls):
+        key = f"{prefix}.{field.name}"
+        if key in SCHEMA:
+            values[field.name] = cfg[key]
+        elif field.name in fallback:
+            values[field.name] = fallback[field.name]
+    return cls(**values)
 
 
 def load_config(path) -> dict[str, Any]:

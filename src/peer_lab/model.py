@@ -10,17 +10,30 @@ other tensor bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import tensor as T
 from .baselines import DenseConfig, DenseFFW, ExpertChoiceMoE, MoeConfig, PkmConfig, PkmLayer
+from .checkpoint import checked_entry
+from .config import dataclass_from_flat
 from .peer import PeerConfig, PeerLayer
 from .tensor import Tensor
 
 VOCAB = 256
 _MASK_FILL = -1e30
+
+# middle-layer kind -> (config class, layer class). A config carries its own
+# mac_per_token() and param_counts(); a layer class has build(config, seed,
+# dtype), named_parameters(), named_state() and forward(x, mode,
+# collect_routing). Flat config keys of a kind are "<kind>.<field>".
+MIDDLE_LAYERS = {
+    "dense": (DenseConfig, DenseFFW),
+    "pkm": (PkmConfig, PkmLayer),
+    "peer": (PeerConfig, PeerLayer),
+    "moe": (MoeConfig, ExpertChoiceMoE),
+}
 
 
 @dataclass
@@ -42,12 +55,19 @@ class ModelConfig:
             raise ValueError(f"n_blocks must be >= 1, got {self.n_blocks}")
         if self.d_model % self.n_attn_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_attn_heads {self.n_attn_heads}")
-        if self.middle_layer not in ("dense", "pkm", "peer", "moe"):
-            raise ValueError(f"middle_layer must be dense|pkm|peer|moe, got {self.middle_layer!r}")
+        if self.middle_layer not in MIDDLE_LAYERS:
+            raise ValueError(f"middle_layer must be {'|'.join(MIDDLE_LAYERS)}, got {self.middle_layer!r}")
         if self.vocab != VOCAB:
             raise ValueError(f"byte-level model requires vocab={VOCAB}, got {self.vocab}")
+        config_cls = MIDDLE_LAYERS[self.middle_layer][0]
         if self.middle_config is None:
-            self.middle_config = default_middle_config(self.middle_layer, self.d_model, self.d_ff, self.activation)
+            shared = {"d_model": self.d_model, "d_ff": self.d_ff, "activation": self.activation}
+            self.middle_config = config_cls(**{f.name: shared[f.name] for f in fields(config_cls) if f.name in shared})
+        elif not isinstance(self.middle_config, config_cls):
+            raise ValueError(
+                f"middle_layer {self.middle_layer!r} needs a {config_cls.__name__}, "
+                f"got a middle_config of type {type(self.middle_config).__name__}"
+            )
 
     @property
     def middle_index(self) -> int:
@@ -56,30 +76,6 @@ class ModelConfig:
     @property
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64
-
-
-def default_middle_config(kind: str, d_model: int, d_ff: int, activation: str):
-    if kind == "dense":
-        return DenseConfig(d_model=d_model, d_ff=d_ff, activation=activation)
-    if kind == "peer":
-        return PeerConfig(d_model=d_model, activation=activation)
-    if kind == "pkm":
-        return PkmConfig(d_model=d_model)
-    if kind == "moe":
-        return MoeConfig(d_model=d_model, d_ff=d_ff, activation=activation)
-    raise ValueError(f"unknown middle layer kind {kind!r}")
-
-
-def build_middle_layer(kind: str, cfg, seed: int, dtype):
-    if kind == "dense":
-        return DenseFFW.build(cfg, seed=seed, dtype=dtype, prefix="dense")
-    if kind == "peer":
-        return PeerLayer.build(cfg, seed=seed, dtype=dtype)
-    if kind == "pkm":
-        return PkmLayer.build(cfg, seed=seed, dtype=dtype)
-    if kind == "moe":
-        return ExpertChoiceMoE.build(cfg, seed=seed, dtype=dtype)
-    raise ValueError(f"unknown middle layer kind {kind!r}")
 
 
 class Block:
@@ -144,7 +140,7 @@ class Model:
         self.blocks: list[Block] = []
         for i in range(config.n_blocks):
             if i == config.middle_index:
-                ffw = build_middle_layer(config.middle_layer, config.middle_config, middle_seed, dtype)
+                ffw = MIDDLE_LAYERS[config.middle_layer][1].build(config.middle_config, seed=middle_seed, dtype=dtype)
             else:
                 ffw = DenseFFW.build(
                     DenseConfig(d_model=d, d_ff=config.d_ff, activation=config.activation),
@@ -176,17 +172,12 @@ class Model:
         return dict(self.middle.named_state())
 
     def load_tensors(self, tensors: dict[str, np.ndarray]) -> None:
-        """Assign parameter and state values from a checkpoint dict."""
-        params = self.named_parameters()
-        for name, p in params.items():
-            if name not in tensors:
-                raise ValueError(f"checkpoint is missing tensor {name!r}")
-            if tensors[name].shape != p.data.shape:
-                raise ValueError(f"shape mismatch for {name}: checkpoint {tensors[name].shape} vs model {p.data.shape}")
-            p.data = tensors[name].astype(p.data.dtype, copy=True)
-        state = self.named_state()
-        if state:
-            self.middle.load_state({k: tensors[k] for k in state})
+        """Assign parameter and state values from a checkpoint dict; each must
+        be present with the model's shape (ValueError otherwise)."""
+        for name, p in self.named_parameters().items():
+            p.data = checked_entry(tensors, name, p.data.shape).astype(p.data.dtype, copy=True)
+        for name, arr in self.named_state().items():
+            arr[...] = checked_entry(tensors, name, arr.shape)
 
     def n_params(self) -> int:
         return sum(p.data.size for p in self.named_parameters().values()) + sum(a.size for a in self.named_state().values())
@@ -227,53 +218,21 @@ def build_model(config: ModelConfig) -> Model:
 
 
 def model_config_from_flat(cfg: dict, method: str | None = None, d_model: int | None = None, d_ff: int | None = None) -> ModelConfig:
-    """Build a ModelConfig (with its middle-layer config) from a flat key=value dict."""
-    method = method or cfg["model.middle_layer"]
-    d_model = d_model or cfg["model.d_model"]
-    d_ff = d_ff or cfg["model.d_ff"]
-    if method == "dense":
-        middle = DenseConfig(d_model=d_model, d_ff=d_ff, activation=cfg["model.activation"])
-    elif method == "peer":
-        middle = PeerConfig(
-            n_experts=cfg["peer.n_experts"],
-            heads=cfg["peer.heads"],
-            topk=cfg["peer.topk"],
-            d_model=d_model,
-            query_dim=cfg["peer.query_dim"],
-            activation=cfg["peer.activation"],
-            score_norm=cfg["peer.score_norm"],
-            query_bn=cfg["peer.query_bn"],
-            glu=cfg["peer.glu"],
-        )
-    elif method == "pkm":
-        middle = PkmConfig(
-            n_memories=cfg["pkm.n_memories"],
-            heads=cfg["pkm.heads"],
-            topk=cfg["pkm.topk"],
-            d_model=d_model,
-            query_dim=cfg["pkm.query_dim"],
-            score_norm=cfg["pkm.score_norm"],
-            query_bn=cfg["pkm.query_bn"],
-        )
-    elif method == "moe":
-        middle = MoeConfig(
-            n_experts=cfg["moe.n_experts"],
-            d_model=d_model,
-            d_ff=cfg["moe.d_ff"],
-            granularity=cfg["moe.granularity"],
-            activation=cfg["model.activation"],
-        )
-    else:
-        raise ValueError(f"unknown middle layer kind {method!r}")
-    return ModelConfig(
-        n_blocks=cfg["model.n_blocks"],
-        d_model=d_model,
-        n_attn_heads=cfg["model.n_attn_heads"],
-        d_ff=d_ff,
-        seq_len=cfg["model.seq_len"],
-        activation=cfg["model.activation"],
-        middle_layer=method,
-        middle_config=middle,
-        seed=cfg["model.seed"],
-        dtype=cfg["model.dtype"],
-    )
+    """Build a ModelConfig (with its middle-layer config) from a flat key=value
+    dict; `method`, `d_model` and `d_ff` override the model.* keys.
+
+    A middle-config field reads "<kind>.<field>" when the schema has that key,
+    else the model's d_model, d_ff or activation.
+    """
+    cfg = {
+        **cfg,
+        "model.middle_layer": method or cfg["model.middle_layer"],
+        "model.d_model": d_model or cfg["model.d_model"],
+        "model.d_ff": d_ff or cfg["model.d_ff"],
+    }
+    kind = cfg["model.middle_layer"]
+    if kind not in MIDDLE_LAYERS:
+        raise ValueError(f"unknown middle layer kind {kind!r}")
+    shared = {"d_model": cfg["model.d_model"], "d_ff": cfg["model.d_ff"], "activation": cfg["model.activation"]}
+    middle = dataclass_from_flat(MIDDLE_LAYERS[kind][0], cfg, kind, **shared)
+    return dataclass_from_flat(ModelConfig, cfg, "model", middle_config=middle)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .analysis import ParamCounts
 # retrieve_topk_batch is not called here; it stays bound in this module,
 # where tools that time the layers (perfbench/spans.py) look for it.
 from .product_keys import (  # noqa: F401
@@ -52,6 +53,17 @@ class PeerConfig(RouterConfig):
     def granularity(self) -> int:
         """Active experts per token."""
         return self.heads * self.topk
+
+    def mac_per_token(self) -> int:
+        return self.router_macs() + (3 if self.glu else 2) * self.d_model * self.heads * self.topk
+
+    def param_counts(self, bias_accounting: bool = True) -> ParamCounts:
+        """One expert is one hidden neuron: its down and up rows, plus one
+        bias slot when `bias_accounting` (the experts carry no bias)."""
+        expert = 2 * self.d_model + (1 if bias_accounting else 0)
+        active = expert * self.heads * self.topk
+        total = self.n_experts * (3 if self.glu else 2) * self.d_model + self.router_numel()
+        return ParamCounts(total=total, active=active, expert=expert, granularity=active / expert)
 
 
 @dataclass

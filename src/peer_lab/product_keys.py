@@ -30,18 +30,6 @@ SCORE_NORMS = ("softmax_per_head", "sigmoid")
 
 
 @dataclass
-class OpCounter:
-    """Tallies retrieval work: multiply-accumulates and comparisons."""
-
-    multiply_accumulate_count: int = 0
-    comparison_count: int = 0
-
-    def add(self, macs: int, comparisons: int) -> None:
-        self.multiply_accumulate_count += int(macs)
-        self.comparison_count += int(comparisons)
-
-
-@dataclass
 class SubKeySet:
     """One trainable set of sqrt(N) sub-keys matching half of the query."""
 
@@ -113,7 +101,7 @@ def _check_finite(q: np.ndarray) -> None:
         raise ValueError(f"{bad} of {finite.size} query rows are non-finite (NaN or inf); retrieval needs finite queries")
 
 
-def retrieve_topk(index: ProductKeyIndex, query, k: int, counter: OpCounter | None = None) -> RetrievalResult:
+def retrieve_topk(index: ProductKeyIndex, query, k: int) -> RetrievalResult:
     """Exact top-k expert ids for one query via the product-key structure.
 
     Splits the query in two, takes the per-side top-k over sub-key inner
@@ -123,7 +111,7 @@ def retrieve_topk(index: ProductKeyIndex, query, k: int, counter: OpCounter | No
     query (ValueError otherwise). This is retrieve_topk_batch on one row.
     """
     q = _check_query(index, query)
-    indices, scores = retrieve_topk_batch(index, q[None, :], k, counter)
+    indices, scores = retrieve_topk_batch(index, q[None, :], k)
     return RetrievalResult(indices=indices[0], scores=scores[0])
 
 
@@ -138,7 +126,7 @@ def tile_rows(sqrt_n: int) -> int:
     return max(4, TILE_SCORES // sqrt_n)
 
 
-def retrieve_topk_batch(index: ProductKeyIndex, queries, k: int, counter: OpCounter | None = None) -> tuple[np.ndarray, np.ndarray]:
+def retrieve_topk_batch(index: ProductKeyIndex, queries, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k over queries [m,d] -> (indices [m,k], scores [m,k]).
 
     Each row is split in half and scored against both sub-key sets; each
@@ -149,7 +137,8 @@ def retrieve_topk_batch(index: ProductKeyIndex, queries, k: int, counter: OpCoun
     OpenBLAS gives a product of 2+ rows the bits of the untiled product, so
     tiling changes no result (one row goes through a matrix-vector product,
     which may round differently, and only a single query is one row).
-    Charges sqrt(N)*d + k^2 MACs per query.
+    Charges the scoped `MacMeter` sqrt(N)*d + k^2 MACs and 2*sqrt(N) + k^2
+    comparisons per query.
     """
     q = queries.data if isinstance(queries, Tensor) else np.asarray(queries)
     if q.ndim != 2 or q.shape[1] != index.key_dim:
@@ -181,21 +170,20 @@ def retrieve_topk_batch(index: ProductKeyIndex, queries, k: int, counter: OpCoun
         sel, scores[lo:hi] = top_k(cand_scores, k)
         indices[lo:hi] = np.take_along_axis(cand_ids, sel, axis=-1)
 
-    if counter is not None:
-        counter.add(macs=m * (sqrt_n * index.key_dim + k * k), comparisons=m * (2 * sqrt_n + k * k))
-    count_macs(m * (sqrt_n * index.key_dim + k * k))
+    count_macs(m * (sqrt_n * index.key_dim + k * k), comparisons=m * (2 * sqrt_n + k * k))
     return indices, scores
 
 
-def retrieve_exhaustive(index: ProductKeyIndex, query, k: int, counter: OpCounter | None = None) -> RetrievalResult:
+def retrieve_exhaustive(index: ProductKeyIndex, query, k: int) -> RetrievalResult:
     """Reference oracle: materialize all N full keys and score every expert.
 
-    Costs N*d multiply-accumulates. Each inner product is the sum of the two
-    half dot products, as on the product-key path, so the ids agree with it
-    exactly; the scores agree up to the rounding of those two half-length
-    dot products, which BLAS may sum in another order here (in float32 at
-    d = 4 the last bit can differ). On integer-valued keys and queries every
-    score is exact, and both paths agree bitwise.
+    Charges the scoped `MacMeter` N*d MACs and N comparisons. Each inner
+    product is the sum of the two half dot products, as on the product-key
+    path, so the ids agree with it exactly; the scores agree up to the
+    rounding of those two half-length dot products, which BLAS may sum in
+    another order here (in float32 at d = 4 the last bit can differ). On
+    integer-valued keys and queries every score is exact, and both paths
+    agree bitwise.
     """
     q = _check_query(index, query)
     sqrt_n = index.sqrt_n
@@ -210,8 +198,7 @@ def retrieve_exhaustive(index: ProductKeyIndex, query, k: int, counter: OpCounte
         + np.tile(index.right.keys.data, (sqrt_n, 1)) @ q[half:]
     )
     idx, vals = top_k(scores, k)
-    if counter is not None:
-        counter.add(macs=n * index.key_dim, comparisons=n)
+    count_macs(n * index.key_dim, comparisons=n)
     return RetrievalResult(indices=idx.astype(np.int64), scores=vals)
 
 
@@ -230,7 +217,7 @@ class PeerRouting:
 
 
 class RouterConfig:
-    """Validation of the router fields PeerConfig and PkmConfig share.
+    """Validation and costs of the router fields PeerConfig and PkmConfig share.
 
     A subclass is a dataclass with `heads`, `topk`, `d_model`, `query_dim`,
     `score_norm` and `query_bn` fields; `keys_field` names its field holding
@@ -255,6 +242,16 @@ class RouterConfig:
             raise ValueError(f"query_dim must be even, got {self.query_dim}")
         if self.score_norm not in SCORE_NORMS:
             raise ValueError(f"score_norm must be one of {SCORE_NORMS}, got {self.score_norm!r}")
+
+    def router_numel(self) -> int:
+        """Sub-keys, query nets and query BN (scale, shift, running mean and var)."""
+        total = 2 * math.isqrt(self.n_keys) * (self.query_dim // 2) + self.heads * self.d_model * self.query_dim
+        return total + (4 * self.query_dim if self.query_bn else 0)
+
+    def router_macs(self) -> int:
+        """Per token: each head's query net, both sides' sub-key scores and
+        the k^2 candidate sums."""
+        return self.heads * (self.d_model * self.query_dim + math.isqrt(self.n_keys) * self.query_dim + self.topk * self.topk)
 
 
 class ProductKeyLayer:
@@ -308,11 +305,6 @@ class ProductKeyLayer:
         if self.bn is None:
             return {}
         return {f"{self.prefix}.bn.mean": self.bn.running_mean, f"{self.prefix}.bn.var": self.bn.running_var}
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        if self.bn is not None:
-            self.bn.running_mean = state[f"{self.prefix}.bn.mean"].copy()
-            self.bn.running_var = state[f"{self.prefix}.bn.var"].copy()
 
     def route(self, x: Tensor, mode: str, collect_routing: bool, payload) -> tuple[Tensor, PeerRouting | None]:
         """Retrieve every token's top keys per head and sum the heads' payloads.

@@ -7,10 +7,11 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import analysis
+from .config import dataclass_from_flat
 from .data import Corpus
 from .model import build_model, model_config_from_flat
 from .train import TrainConfig, evaluate_perplexity, train
@@ -47,13 +48,13 @@ def isoflop_sweep(
     if not methods or not d_models:
         raise ValueError("sweep grid is empty")
     budget = int(cfg["sweep.budget_macs"])
-    batch = cfg["train.batch"]
+    train_cfg = dataclass_from_flat(TrainConfig, cfg, "train")
 
     plan = []
     for method in methods:
         for d_model in d_models:
             mc = model_config_from_flat(cfg, method=method, d_model=d_model, d_ff=4 * d_model)
-            step_macs = analysis.model_train_step_macs(mc, batch)
+            step_macs = analysis.model_train_step_macs(mc, train_cfg.batch)
             steps = budget // step_macs
             plan.append((method, d_model, mc, steps))
     worst = min(plan, key=lambda item: item[3])
@@ -72,8 +73,7 @@ def isoflop_sweep(
             break
         log(f"sweep: {method} d_model={d_model} steps={steps}")
         model = build_model(mc)
-        tc = TrainConfig(steps=steps, batch=batch, lr=cfg["train.lr"], warmup=min(cfg["train.warmup"], steps), seed=cfg["train.seed"])
-        train(model, corpus, tc)
+        train(model, corpus, replace(train_cfg, steps=steps, warmup=min(train_cfg.warmup, steps)))
         ppl = evaluate_perplexity(model, corpus)
         counts = analysis.param_counts(mc.middle_config, bias_accounting=bias_accounting)
         backbone = model.n_params() - counts.total

@@ -166,9 +166,11 @@ def _register(out: Tensor, needs_grad: bool, backward) -> Tensor:
 
 @dataclass
 class MacMeter:
-    """Counts multiply-accumulates executed by matmul-like ops in scope."""
+    """Counts multiply-accumulates executed by matmul-like ops in scope, and
+    the comparisons that retrieval charges for its selections."""
 
     total: int = 0
+    comparisons: int = 0
 
     def __enter__(self) -> "MacMeter":
         meters = getattr(_LOCAL, "meters", None)
@@ -181,21 +183,23 @@ class MacMeter:
         _LOCAL.meters.pop()
         return False
 
-    def add(self, n: int) -> None:
+    def add(self, n: int, comparisons: int = 0) -> None:
         self.total += int(n)
+        self.comparisons += int(comparisons)
 
 
-def count_macs(n: int) -> None:
+def count_macs(n: int, comparisons: int = 0) -> None:
+    """Charge n MACs and `comparisons` comparisons to the innermost meter in scope."""
     if getattr(_LOCAL, "macs_paused", False):
         return
     meters = getattr(_LOCAL, "meters", None)
     if meters:
-        meters[-1].add(n)
+        meters[-1].add(n, comparisons)
 
 
 @contextmanager
 def macs_uncounted():
-    """Suspend MAC metering, e.g. for re-derivations of already-counted work."""
+    """Suspend metering of MACs and comparisons, e.g. for re-derivations of already-counted work."""
     prev = getattr(_LOCAL, "macs_paused", False)
     _LOCAL.macs_paused = True
     try:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import checked_entry, load_checkpoint, save_checkpoint
 from .data import Corpus
 from .model import Model
 from .tensor import Tape, Tensor
@@ -330,8 +330,8 @@ def load_train_checkpoint(path, model: Model) -> TrainState:
     model.load_tensors(tensors)
     held = {}
     for name, p in model.named_parameters().items():
-        m = tensors[f"opt.m.{name}"].astype(p.data.dtype, copy=False)
-        v = tensors[f"opt.v.{name}"].astype(p.data.dtype, copy=False)
+        m = checked_entry(tensors, f"opt.m.{name}", p.data.shape).astype(p.data.dtype, copy=False)
+        v = checked_entry(tensors, f"opt.v.{name}", p.data.shape).astype(p.data.dtype, copy=False)
         held[name] = (m, v)
         if p.data.ndim >= 2:
             ids = np.union1d(_nonzero_rows(m), _nonzero_rows(v))

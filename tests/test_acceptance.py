@@ -26,8 +26,8 @@ from peer_lab.config import default_config
 from peer_lab.data import Corpus
 from peer_lab.model import ModelConfig, build_model, model_config_from_flat
 from peer_lab.peer import PeerConfig, PeerLayer, assemble_dense_equivalent, peer_forward, record_usage
-from peer_lab.product_keys import OpCounter, build_index, retrieve_exhaustive, retrieve_topk
-from peer_lab.tensor import Tensor
+from peer_lab.product_keys import build_index, retrieve_exhaustive, retrieve_topk
+from peer_lab.tensor import MacMeter, Tensor
 from peer_lab.train import (
     TrainConfig,
     init_train_state,
@@ -63,20 +63,20 @@ def test_c1_retrieval_exactness_and_c2_complexity():
                 query = rng.normal(size=d)
                 # one exhaustive ordering serves every k: the top-k list under
                 # a fixed total order is a prefix of the top-sqrt(n) list
-                ex_counter = OpCounter()
-                oracle = retrieve_exhaustive(index, query, sqrt_n, ex_counter)
-                if ex_counter.multiply_accumulate_count != n * d:
+                with MacMeter() as ex_meter:
+                    oracle = retrieve_exhaustive(index, query, sqrt_n)
+                if ex_meter.total != n * d:
                     mac_ok = False
                 for k in ks:
-                    counter = OpCounter()
-                    got = retrieve_topk(index, query, k, counter)
+                    with MacMeter() as meter:
+                        got = retrieve_topk(index, query, k)
                     checked += 1
                     if not (
                         np.array_equal(got.indices, oracle.indices[:k])
                         and np.array_equal(got.scores, oracle.scores[:k])
                     ):
                         mismatches += 1
-                    if counter.multiply_accumulate_count != sqrt_n * d + k * k:
+                    if meter.total != sqrt_n * d + k * k:
                         mac_ok = False
 
     elapsed = time.perf_counter() - started

@@ -109,6 +109,13 @@ class TestMetrics:
         with pytest.raises(SystemExit):
             main(["metrics", "--checkpoint", str(run / "checkpoint.bin"), "--out-dir", str(tmp_path / "m")])
 
+    def test_kind_checked_before_the_checkpoint_loads(self, tmp_path):
+        cfg = tmp_path / "dense.cfg"
+        cfg.write_text(TINY.replace("model.middle_layer=peer", "model.middle_layer=dense"))
+        missing = tmp_path / "no-such-checkpoint.bin"
+        with pytest.raises(SystemExit, match="no routed experts"):
+            main(["metrics", "--config", str(cfg), "--checkpoint", str(missing), "--out-dir", str(tmp_path / "m")])
+
 
 class TestGradCheckCommand:
     def test_passes_and_prints_groups(self, capsys):
@@ -142,6 +149,21 @@ class TestSweep:
             assert float(ppl) > 1.0
         text = capsys.readouterr().out
         assert "optimum[dense]" in text and "optimum[peer]" in text
+
+    def test_every_train_key_reaches_the_runs(self, tmp_path, monkeypatch):
+        from peer_lab import sweep
+        from peer_lab.data import Corpus
+
+        seen = []
+        monkeypatch.setattr(sweep, "train", lambda model, corpus, tc: seen.append(tc))
+        monkeypatch.setattr(sweep, "evaluate_perplexity", lambda model, corpus: 2.0)
+        base = parse_config(TINY + "train.beta1=0.8\ntrain.beta2=0.95\ntrain.eps=1e-6\ntrain.seed=5\ntrain.warmup=1000\n")
+        step_macs = analysis.model_train_step_macs(model_config_from_flat(base, method="dense", d_model=8, d_ff=32), 4)
+        cfg = {**base, "sweep.budget_macs": 12 * step_macs, "sweep.methods": ("dense",), "sweep.d_models": (8,)}
+        sweep.isoflop_sweep(cfg, Corpus.synthetic(20000, seed=0), tmp_path / "s", log=lambda *a: None)
+        (tc,) = seen
+        assert (tc.steps, tc.warmup) == (12, 12)
+        assert (tc.batch, tc.lr, tc.beta1, tc.beta2, tc.eps, tc.seed) == (4, 0.001, 0.8, 0.95, 1e-6, 5)
 
     def test_no_bias_accounting_flag_parses(self):
         from peer_lab.cli import build_parser

@@ -1,8 +1,42 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from peer_lab.config import default_config, format_config, parse_config
+from peer_lab.config import SCHEMA, dataclass_from_flat, default_config, format_config, parse_config
 from peer_lab.data import _WORDS, Corpus, synthetic_text
+from peer_lab.model import MIDDLE_LAYERS, model_config_from_flat
+from peer_lab.train import TrainConfig
+
+# a valid value other than the default for every key a layer or training run reads
+NON_DEFAULT = {
+    "peer.n_experts": 256,
+    "peer.heads": 2,
+    "peer.topk": 3,
+    "peer.query_dim": 16,
+    "peer.activation": "relu",
+    "peer.score_norm": "sigmoid",
+    "peer.query_bn": False,
+    "peer.glu": True,
+    "pkm.n_memories": 1024,
+    "pkm.heads": 3,
+    "pkm.topk": 2,
+    "pkm.query_dim": 8,
+    "pkm.score_norm": "sigmoid",
+    "pkm.query_bn": False,
+    "moe.n_experts": 3,
+    "moe.d_ff": 40,
+    "moe.granularity": 3,
+    "train.steps": 7,
+    "train.batch": 3,
+    "train.lr": 0.5,
+    "train.warmup": 2,
+    "train.beta1": 0.8,
+    "train.beta2": 0.9,
+    "train.eps": 1e-5,
+    "train.checkpoint_interval": 4,
+    "train.seed": 9,
+}
 
 
 def synthetic_text_per_sentence_choice(n_bytes: int, seed: int = 0) -> bytes:
@@ -64,6 +98,31 @@ class TestConfig:
         cfg["model.n_blocks"] = 3
         cfg["peer.glu"] = True
         assert parse_config(format_config(cfg)) == cfg
+
+    def test_middle_layer_choices_are_the_kind_table(self):
+        assert SCHEMA["model.middle_layer"][0].options == tuple(MIDDLE_LAYERS)
+
+    def test_every_layer_and_train_key_is_read_into_a_field(self):
+        assert set(NON_DEFAULT) == {key for key in SCHEMA if key.split(".")[0] in ("peer", "pkm", "moe", "train")}
+        assert all(value != SCHEMA[key][1] for key, value in NON_DEFAULT.items())
+        cfg = {**default_config(), **NON_DEFAULT}
+        read = {}
+        for kind in ("peer", "pkm", "moe"):
+            middle = model_config_from_flat(cfg, method=kind).middle_config
+            read.update({f"{kind}.{f.name}": getattr(middle, f.name) for f in fields(middle)})
+        tc = dataclass_from_flat(TrainConfig, cfg, "train")
+        read.update({f"train.{f.name}": getattr(tc, f.name) for f in fields(tc)})
+        assert {key: read.get(key) for key in NON_DEFAULT} == NON_DEFAULT
+
+    def test_middle_fields_outside_the_schema_take_the_model_dims(self):
+        cfg = {**default_config(), "model.activation": "relu"}
+        for kind, (config_cls, _) in MIDDLE_LAYERS.items():
+            mc = model_config_from_flat(cfg, method=kind, d_model=48, d_ff=192)
+            assert isinstance(mc.middle_config, config_cls)
+            assert mc.middle_config.d_model == 48
+        assert model_config_from_flat(cfg, method="dense").middle_config == MIDDLE_LAYERS["dense"][0](64, 256, "relu")
+        assert model_config_from_flat(cfg, method="moe").middle_config.activation == "relu"
+        assert model_config_from_flat(cfg, method="peer").middle_config.activation == "gelu"  # peer.activation
 
 
 class TestCorpus:

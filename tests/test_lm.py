@@ -6,7 +6,8 @@ import pytest
 
 from peer_lab import analysis
 from peer_lab import tensor as T
-from peer_lab.baselines import MoeConfig, PkmConfig
+from peer_lab.baselines import DenseConfig, MoeConfig, PkmConfig
+from peer_lab.checkpoint import load_checkpoint, save_checkpoint
 from peer_lab.data import Corpus
 from peer_lab.model import ModelConfig, build_model
 from peer_lab.peer import PeerConfig
@@ -96,6 +97,10 @@ class TestBuildModel:
             for n in layer_names
         )
         assert layer_total == analysis.param_counts(model.config.middle_config).total
+
+    def test_middle_config_of_another_kind_rejected(self):
+        with pytest.raises(ValueError, match="'pkm' needs a PkmConfig, got a middle_config of type DenseConfig"):
+            tiny_config("pkm", middle_config=DenseConfig(d_model=16, d_ff=32))
 
     def test_bad_vocab_rejected(self):
         with pytest.raises(ValueError):
@@ -226,6 +231,47 @@ class TestTraining:
             assert np.array_equal(p.data, resumed.named_parameters()[name].data), name
         for name, arr in uninterrupted.named_state().items():
             assert np.array_equal(arr, resumed.named_state()[name]), name
+
+
+class TestCheckpointEntries:
+    """Every parameter, state entry and Adam moment must be in the file with the model's shape."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        model = build_model(tiny_config("peer"))
+        state, _ = train(model, periodic_corpus(), TrainConfig(steps=2, batch=4, lr=1e-3, warmup=1, seed=0))
+        save_train_checkpoint(tmp_path / "c.bin", model, state)
+        return load_checkpoint(tmp_path / "c.bin")
+
+    def test_state_loads_into_the_arrays_named_state_returns(self, saved):
+        model = build_model(tiny_config("peer"))
+        state = model.named_state()
+        model.load_tensors(saved)
+        for name, arr in state.items():
+            assert np.array_equal(arr, saved[name]), name
+            assert model.named_state()[name] is arr
+
+    def test_misshapen_state_raises(self, saved):
+        saved["peer.bn.mean"] = saved["peer.bn.mean"][:1]
+        with pytest.raises(ValueError, match=r"peer\.bn\.mean: checkpoint \(1,\) vs model \(8,\)"):
+            build_model(tiny_config("peer")).load_tensors(saved)
+
+    def test_missing_state_raises(self, saved):
+        del saved["peer.bn.var"]
+        with pytest.raises(ValueError, match="missing tensor 'peer.bn.var'"):
+            build_model(tiny_config("peer")).load_tensors(saved)
+
+    def test_misshapen_moments_raise(self, saved, tmp_path):
+        saved["opt.m.peer.experts.down"] = saved["opt.m.peer.experts.down"][:3]
+        save_checkpoint(tmp_path / "bad.bin", saved)
+        with pytest.raises(ValueError, match=r"opt\.m\.peer\.experts\.down: checkpoint \(3, 16\) vs model \(64, 16\)"):
+            load_train_checkpoint(tmp_path / "bad.bin", build_model(tiny_config("peer")))
+
+    def test_missing_moments_raise(self, saved, tmp_path):
+        del saved["opt.v.lm_head"]
+        save_checkpoint(tmp_path / "bad.bin", saved)
+        with pytest.raises(ValueError, match="missing tensor 'opt.v.lm_head'"):
+            load_train_checkpoint(tmp_path / "bad.bin", build_model(tiny_config("peer")))
 
 
 class TestPerplexity:

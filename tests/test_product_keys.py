@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from peer_lab import product_keys
 from peer_lab.product_keys import (
-    OpCounter,
     build_index,
     retrieve_exhaustive,
     retrieve_topk,
     retrieve_topk_batch,
     tile_rows,
 )
+from peer_lab.tensor import MacMeter
 
 
 def hand_index():
@@ -75,13 +75,13 @@ class TestRetrieveTopk:
             retrieve_topk(hand_index(), np.array([bad, 1.0]), 1)
 
     def test_mac_and_comparison_counts(self):
-        counter = OpCounter()
         index = build_index(4096, 16, seed=1)
-        retrieve_topk(index, np.ones(16), 8, counter)
-        assert counter.multiply_accumulate_count == 64 * 16 + 64
-        assert counter.comparison_count == 2 * 64 + 64
-        retrieve_topk(index, np.ones(16), 8, counter)
-        assert counter.multiply_accumulate_count == 2 * (64 * 16 + 64)  # counters accumulate
+        with MacMeter() as meter:
+            retrieve_topk(index, np.ones(16), 8)
+            assert meter.total == 64 * 16 + 64
+            assert meter.comparisons == 2 * 64 + 64
+            retrieve_topk(index, np.ones(16), 8)
+        assert meter.total == 2 * (64 * 16 + 64)  # meters accumulate
 
     def test_result_invariants(self):
         rng = np.random.default_rng(3)
@@ -138,9 +138,14 @@ class TestExhaustive:
             retrieve_exhaustive(hand_index(), np.array([1.0, 1.0]), 5)
 
     def test_mac_count(self):
-        counter = OpCounter()
-        retrieve_exhaustive(build_index(4096, 16, seed=0), np.ones(16), 4, counter)
-        assert counter.multiply_accumulate_count == 4096 * 16
+        with MacMeter() as meter:
+            retrieve_exhaustive(build_index(4096, 16, seed=0), np.ones(16), 4)
+        assert meter.total == 4096 * 16
+
+    def test_comparison_count(self):
+        with MacMeter() as meter:
+            retrieve_exhaustive(build_index(4096, 16, seed=0), np.ones(16), 4)
+        assert meter.comparisons == 4096
 
 
 class TestOracleEquivalence:
@@ -207,11 +212,12 @@ class TestOracleEquivalence:
         d, k = 16, 4
         macs = {}
         for n in (256, 4096):
-            c_prod, c_ex = OpCounter(), OpCounter()
             index = build_index(n, d, seed=0)
-            retrieve_topk(index, np.ones(d), k, c_prod)
-            retrieve_exhaustive(index, np.ones(d), k, c_ex)
-            macs[n] = (c_prod.multiply_accumulate_count, c_ex.multiply_accumulate_count)
+            with MacMeter() as c_prod:
+                retrieve_topk(index, np.ones(d), k)
+            with MacMeter() as c_ex:
+                retrieve_exhaustive(index, np.ones(d), k)
+            macs[n] = (c_prod.total, c_ex.total)
         # quadrupling sqrt(N): product sub-scoring scales 4x, exhaustive 16x
         assert macs[4096][0] - k * k == 4 * (macs[256][0] - k * k)
         assert macs[4096][1] == 16 * macs[256][1]
@@ -222,9 +228,9 @@ class TestBatchedRetrieval:
         rng = np.random.default_rng(2)
         index = build_index(4096, 16, seed=2)
         queries = rng.normal(size=(40, 16))
-        counter = OpCounter()
-        indices, scores = retrieve_topk_batch(index, queries, 8, counter)
-        assert counter.multiply_accumulate_count == 40 * (64 * 16 + 64)
+        with MacMeter() as meter:
+            indices, scores = retrieve_topk_batch(index, queries, 8)
+        assert meter.total == 40 * (64 * 16 + 64)
         for row, q in enumerate(queries):
             single = retrieve_topk(index, q, 8)
             assert np.array_equal(indices[row], single.indices)

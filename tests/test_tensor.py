@@ -250,6 +250,14 @@ class TestTapeSemantics:
                 T.matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((4, 5))))
         assert meter.total == 0
 
+    def test_mac_meter_counts_comparisons_and_pauses_both(self):
+        with MacMeter() as meter:
+            T.count_macs(7, comparisons=3)
+            T.count_macs(2)
+            with T.macs_uncounted():
+                T.count_macs(5, comparisons=4)
+        assert (meter.total, meter.comparisons) == (9, 3)
+
 
 class TestGradCheck:
     def test_constant_function_zero_error(self):
