@@ -5,7 +5,6 @@ from .tensor import BNState, MacMeter, Tape, Tensor, grad_check, top_k
 from .product_keys import (
     ProductKeyIndex,
     RetrievalResult,
-    SubKeySet,
     build_index,
     retrieve_exhaustive,
     retrieve_topk,
@@ -54,7 +53,6 @@ __all__ = [
     "top_k",
     "ProductKeyIndex",
     "RetrievalResult",
-    "SubKeySet",
     "build_index",
     "retrieve_exhaustive",
     "retrieve_topk",

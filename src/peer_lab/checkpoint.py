@@ -119,10 +119,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     return tensors
 
 
-def checked_entry(tensors: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """tensors[name], which a checkpoint must hold with the model's `shape`."""
+def checked_entry(tensors: dict[str, np.ndarray], name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """tensors[name], which a checkpoint must hold with the model's `shape` (None: any shape)."""
     if name not in tensors:
         raise ValueError(f"checkpoint is missing tensor {name!r}")
-    if tensors[name].shape != tuple(shape):
+    if shape is not None and tensors[name].shape != tuple(shape):
         raise ValueError(f"shape mismatch for {name}: checkpoint {tensors[name].shape} vs model {tuple(shape)}")
     return tensors[name]

@@ -10,19 +10,14 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .config import dataclass_from_flat, default_config, format_config, load_config
+from .checkpoint import load_checkpoint
+from .config import dataclass_from_flat, default_config, format_config, load_config, parse_config
 from .data import Corpus
 from .model import build_model, model_config_from_flat
 from .peer import PeerConfig, record_usage
 from .product_keys import ProductKeyLayer, build_index, retrieve_exhaustive, retrieve_topk
 from .tensor import MacMeter, grad_check_detail
-from .train import (
-    TrainConfig,
-    checkpoint_config_text,
-    evaluate_perplexity,
-    load_train_checkpoint,
-    train,
-)
+from .train import TrainConfig, evaluate_perplexity, load_train_checkpoint, train
 
 BENCH_HEADER = "N,d,k,method,macs,comparisons,wall_ns,match"
 
@@ -70,18 +65,33 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    cfg = load_config(args.config) if args.config else None
-    if cfg is None:
-        from .config import parse_config
+def _checkpoint_model(args, routed: bool = False):
+    """The config, model and train state of `args.checkpoint`, reading the file once.
 
-        cfg = parse_config(checkpoint_config_text(args.checkpoint))
+    The config is `args.config` or else the one embedded in the checkpoint,
+    with `args.data` overriding its corpus. With `routed`, a model without
+    routed experts is rejected before the file is read, if it can be.
+    """
+    tensors = None
+    if args.config:
+        cfg = load_config(args.config)
+    else:
+        tensors = load_checkpoint(args.checkpoint)
+        if "meta.config" not in tensors:
+            raise ValueError(f"checkpoint {args.checkpoint} carries no embedded config")
+        cfg = parse_config(tensors["meta.config"].tobytes().decode("utf-8"))
     if args.data:
         cfg["data.path"] = args.data
     model = build_model(model_config_from_flat(cfg))
-    state = load_train_checkpoint(args.checkpoint, model)
-    corpus = _corpus_from_cfg(cfg)
-    ppl = evaluate_perplexity(model, corpus)
+    if routed and not isinstance(model.middle, ProductKeyLayer):
+        raise SystemExit(f"middle layer {cfg['model.middle_layer']!r} has no routed experts to measure")
+    state = load_train_checkpoint(args.checkpoint if tensors is None else tensors, model)
+    return cfg, model, state
+
+
+def cmd_eval(args) -> int:
+    cfg, model, state = _checkpoint_model(args)
+    ppl = evaluate_perplexity(model, _corpus_from_cfg(cfg))
     print(f"step={state.step} val_ppl={ppl:.6f}")
     return 0
 
@@ -136,15 +146,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    from .config import parse_config
-
-    cfg = load_config(args.config) if args.config else parse_config(checkpoint_config_text(args.checkpoint))
-    if args.data:
-        cfg["data.path"] = args.data
-    model = build_model(model_config_from_flat(cfg))
-    if not isinstance(model.middle, ProductKeyLayer):
-        raise SystemExit(f"middle layer {cfg['model.middle_layer']!r} has no routed experts to measure")
-    load_train_checkpoint(args.checkpoint, model)
+    cfg, model, _ = _checkpoint_model(args, routed=True)
     corpus = _corpus_from_cfg(cfg)
     windows = corpus.val_windows(model.config.seq_len)
     if not windows:

@@ -30,21 +30,16 @@ SCORE_NORMS = ("softmax_per_head", "sigmoid")
 
 
 @dataclass
-class SubKeySet:
-    """One trainable set of sqrt(N) sub-keys matching half of the query."""
-
-    keys: Tensor  # [sqrt_n, d/2]
-    side: str  # "left" (first half) or "right" (second half)
-
-
-@dataclass
 class ProductKeyIndex:
-    left: SubKeySet
-    right: SubKeySet
+    """Two trainable sets of sqrt(N) sub-keys, [sqrt_n, d/2] each, matching
+    the first (`left`) and the second (`right`) half of the query."""
+
+    left: Tensor
+    right: Tensor
 
     @property
     def sqrt_n(self) -> int:
-        return self.left.keys.data.shape[0]
+        return self.left.data.shape[0]
 
     @property
     def n_experts(self) -> int:
@@ -52,7 +47,7 @@ class ProductKeyIndex:
 
     @property
     def key_dim(self) -> int:
-        return 2 * self.left.keys.data.shape[1]
+        return 2 * self.left.data.shape[1]
 
 
 @dataclass
@@ -80,10 +75,7 @@ def build_index(n_experts: int, key_dim: int, init_scale: float | None = None, s
     rng = np.random.default_rng(seed)
     left = rng.uniform(-init_scale, init_scale, size=(sqrt_n, half)).astype(dtype)
     right = rng.uniform(-init_scale, init_scale, size=(sqrt_n, half)).astype(dtype)
-    return ProductKeyIndex(
-        left=SubKeySet(Tensor(left, requires_grad=True), side="left"),
-        right=SubKeySet(Tensor(right, requires_grad=True), side="right"),
-    )
+    return ProductKeyIndex(left=Tensor(left, requires_grad=True), right=Tensor(right, requires_grad=True))
 
 
 def _check_query(index: ProductKeyIndex, query: np.ndarray) -> np.ndarray:
@@ -149,7 +141,7 @@ def retrieve_topk_batch(index: ProductKeyIndex, queries, k: int) -> tuple[np.nda
         raise ValueError(f"k must be in [1, sqrt(N)={sqrt_n}], got {k}")
     m = q.shape[0]
     half = index.key_dim // 2
-    left, right = index.left.keys.data.T, index.right.keys.data.T
+    left, right = index.left.data.T, index.right.data.T
     tiles = max(1, -(-m // tile_rows(sqrt_n)))
     bounds = [t * m // tiles for t in range(tiles + 1)]
     indices = np.empty((m, k), np.int64)
@@ -194,8 +186,8 @@ def retrieve_exhaustive(index: ProductKeyIndex, query, k: int) -> RetrievalResul
     # row e = i*sqrt_n + j holds [left sub-key i, right sub-key j]; each
     # [N, d/2] half is built, used and freed in turn, never a [N, d] copy
     scores = (
-        np.repeat(index.left.keys.data, sqrt_n, axis=0) @ q[:half]
-        + np.tile(index.right.keys.data, (sqrt_n, 1)) @ q[half:]
+        np.repeat(index.left.data, sqrt_n, axis=0) @ q[:half]
+        + np.tile(index.right.data, (sqrt_n, 1)) @ q[half:]
     )
     idx, vals = top_k(scores, k)
     count_macs(n * index.key_dim, comparisons=n)
@@ -293,7 +285,7 @@ class ProductKeyLayer:
 
     def router_parameters(self) -> dict[str, Tensor]:
         p = self.prefix
-        params = {f"{p}.subkeys.c": self.index.left.keys, f"{p}.subkeys.cp": self.index.right.keys}
+        params = {f"{p}.subkeys.c": self.index.left, f"{p}.subkeys.cp": self.index.right}
         for h, w in enumerate(self.query_nets):
             params[f"{p}.query.{h}.w"] = w
         if self.bn is not None:
@@ -344,7 +336,7 @@ class ProductKeyLayer:
         with T.macs_uncounted():
             q1 = T.col_slice(q_all, 0, half)
             q2 = T.col_slice(q_all, half, cfg.query_dim)
-            scores = T.add(T.gather_dot(q1, self.index.left.keys, idx // sqrt_n), T.gather_dot(q2, self.index.right.keys, idx % sqrt_n))
+            scores = T.add(T.gather_dot(q1, self.index.left, idx // sqrt_n), T.gather_dot(q2, self.index.right, idx % sqrt_n))
 
         # softmax normalizes over the k retrieved scores within each head
         weights = T.softmax(scores) if cfg.score_norm == "softmax_per_head" else T.sigmoid(scores)

@@ -573,12 +573,21 @@ def scatter_add_into(table: Tensor, idx: np.ndarray, operand: np.ndarray, weight
     elif table.grad_rows is None:
         table.grad_ids, table.grad_rows = ids, rows
     else:
-        # rows in both sums add; a row in one keeps its value (0.0 + x == x here)
+        # rows in both sums add; a row in one keeps its value (x + 0.0 == x, as no row is -0.0)
         union = np.union1d(table.grad_ids, ids)
-        merged = np.zeros((union.size,) + table.data.shape[1:], dtype)
-        merged[np.searchsorted(union, table.grad_ids)] = table.grad_rows
-        merged[np.searchsorted(union, ids)] += rows
+        merged = place_rows(table.grad_rows, table.grad_ids, union) + place_rows(rows, ids, union)
         table._grad, table.grad_ids, table.grad_rows = None, union, merged
+
+
+def place_rows(rows: np.ndarray, ids: np.ndarray, superset: np.ndarray) -> np.ndarray:
+    """`rows` of the sorted unique `ids`, placed at their positions in the
+    sorted unique `superset` of them, with +0.0 rows elsewhere; `rows` itself
+    when the two sets are equal."""
+    if superset.size == ids.size:
+        return rows
+    placed = np.zeros((superset.size,) + rows.shape[1:], rows.dtype)
+    placed[np.searchsorted(superset, ids)] = rows
+    return placed
 
 
 def _row_ids(table: Tensor, idx, op: str) -> np.ndarray:

@@ -18,7 +18,7 @@ from . import analysis
 from .checkpoint import checked_entry, load_checkpoint, save_checkpoint
 from .data import Corpus
 from .model import Model
-from .tensor import Tape, Tensor
+from .tensor import Tape, Tensor, place_rows
 
 METRICS_HEADER = "step,loss,ppl,tokens_per_s,mac_per_token"
 
@@ -68,29 +68,21 @@ class RowMoments:
 
     def take(self, ids: np.ndarray) -> None:
         """Make `ids`, a sorted superset of the live rows, the live rows; new rows start at +0.0."""
-        if ids.size == self.ids.size:
-            return
-        at = np.searchsorted(ids, self.ids)
-        m, v = (np.zeros((ids.size,) + self.shape[1:], self.dtype) for _ in range(2))
-        m[at], v[at] = self.m, self.v
-        self.ids, self.m, self.v = ids, m, v
+        self.m, self.v = place_rows(self.m, self.ids, ids), place_rows(self.v, self.ids, ids)
+        self.ids = ids
 
 
 class Moments(Mapping):
-    """Adam moments by parameter name; reading one gives dense (m, v) arrays.
+    """Adam moments by parameter name, each held as `RowMoments` in `held`.
 
-    `held` maps each name to a dense (m, v) pair or to `RowMoments`. A
-    parameter of 2+ dims starts as `RowMoments` and turns dense for good
-    once more than half its rows are live; reading it while it is held as
-    rows builds fresh dense arrays, which a write does not reach.
+    Reading one builds fresh dense (m, v) arrays, which a write does not reach.
     """
 
-    def __init__(self, held: dict[str, tuple[np.ndarray, np.ndarray] | RowMoments]):
+    def __init__(self, held: dict[str, RowMoments]):
         self.held = held
 
     def __getitem__(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        held = self.held[name]
-        return held.dense() if isinstance(held, RowMoments) else held
+        return self.held[name].dense()
 
     def __iter__(self):
         return iter(self.held)
@@ -108,12 +100,7 @@ class TrainState:
 
 
 def init_train_state(model: Model, cfg: TrainConfig) -> TrainState:
-    held = {}
-    for name, p in model.named_parameters().items():
-        if p.data.ndim >= 2:
-            held[name] = RowMoments.empty(p.data.shape, p.data.dtype)
-        else:
-            held[name] = (np.zeros(p.data.shape, p.data.dtype), np.zeros(p.data.shape, p.data.dtype))
+    held = {name: RowMoments.empty(p.data.shape, p.data.dtype) for name, p in model.named_parameters().items()}
     return TrainState(step=0, moments=Moments(held), rng=np.random.default_rng(cfg.seed))
 
 
@@ -132,30 +119,21 @@ def _live_grad(p: Tensor, live: np.ndarray) -> tuple[np.ndarray, np.ndarray | No
     scanned for rows with a bit set.
     """
     if p.grad_rows is not None:
-        ids, rows = p.grad_ids, p.grad_rows
-    elif p.grad is not None:
-        ids = _nonzero_rows(p.grad)
-        rows = None
-    else:
-        return live, None
-    union, at = _union(live, ids)
-    if rows is None:
+        union = _union(live, p.grad_ids)
+        return union, place_rows(p.grad_rows, p.grad_ids, union)
+    if p.grad is not None:
+        union = _union(live, _nonzero_rows(p.grad))
         return union, p.grad[union]
-    if union.size == ids.size:
-        return union, rows
-    g = np.zeros((union.size,) + rows.shape[1:], rows.dtype)
-    g[at] = rows
-    return union, g
+    return live, None
 
 
-def _union(live: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted union of the sorted unique `live` and `ids`, and where each of `ids` sits in it."""
+def _union(live: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The sorted union of the sorted unique `live` and `ids`."""
     if live.size:
         at = np.searchsorted(live, ids)
         if np.array_equal(live[np.minimum(at, live.size - 1)], ids):
-            return live, at  # no new row: the common case once the live set settles
-    union = np.union1d(live, ids)
-    return union, np.searchsorted(union, ids)
+            return live  # no new row: the common case once the live set settles
+    return np.union1d(live, ids)
 
 
 def _adam(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, lr_t: float, step: int, cfg: TrainConfig) -> None:
@@ -199,18 +177,11 @@ def train_step(model: Model, corpus: Corpus, state: TrainState, cfg: TrainConfig
     lr_t = cfg.lr * min(1.0, step / max(1, cfg.warmup))
     for name, p in params.items():
         held = state.moments.held[name]
-        if isinstance(held, RowMoments):
-            ids, g = _live_grad(p, held.ids)
-            if 2 * ids.size <= p.data.shape[0]:
-                held.take(ids)
-                rows = p.data[ids]
-                _adam(rows, np.zeros_like(rows) if g is None else g, held.m, held.v, lr_t, step, cfg)
-                p.data[ids] = rows
-                continue
-            held = state.moments.held[name] = held.dense()
-        m, v = held
-        g = p.grad if p.grad is not None else np.zeros(p.data.shape, p.data.dtype)
-        _adam(p.data, g, m, v, lr_t, step, cfg)
+        ids, g = _live_grad(p, held.ids)
+        held.take(ids)
+        rows = p.data[ids]
+        _adam(rows, np.zeros_like(rows) if g is None else g, held.m, held.v, lr_t, step, cfg)
+        p.data[ids] = rows
 
     state.step = step
     state.running_loss = loss_value if step == 1 else 0.99 * state.running_loss + 0.01 * loss_value
@@ -324,31 +295,26 @@ def save_train_checkpoint(path, model: Model, state: TrainState, config_text: st
     save_checkpoint(path, tensors)
 
 
-def load_train_checkpoint(path, model: Model) -> TrainState:
-    """Restore parameters, optimizer moments, and RNG into a fresh TrainState."""
-    tensors = load_checkpoint(path)
+def load_train_checkpoint(source, model: Model) -> TrainState:
+    """Restore parameters, optimizer moments, and RNG into a fresh TrainState.
+
+    `source` is a checkpoint path or the entries `load_checkpoint` read from
+    one. Each parameter's live rows are the rows of its stored moments with
+    any bit set.
+    """
+    tensors = source if isinstance(source, dict) else load_checkpoint(source)
     model.load_tensors(tensors)
     held = {}
     for name, p in model.named_parameters().items():
         m = checked_entry(tensors, f"opt.m.{name}", p.data.shape).astype(p.data.dtype, copy=False)
         v = checked_entry(tensors, f"opt.v.{name}", p.data.shape).astype(p.data.dtype, copy=False)
-        held[name] = (m, v)
-        if p.data.ndim >= 2:
-            ids = np.union1d(_nonzero_rows(m), _nonzero_rows(v))
-            if 2 * ids.size <= p.data.shape[0]:
-                held[name] = RowMoments(p.data.shape, p.data.dtype, ids, m[ids], v[ids])
+        ids = np.union1d(_nonzero_rows(m), _nonzero_rows(v))
+        held[name] = RowMoments(p.data.shape, p.data.dtype, ids, m[ids], v[ids])
     rng = np.random.default_rng(0)
-    rng.bit_generator.state = json.loads(tensors["train.rng"].tobytes().decode("utf-8"))
+    rng.bit_generator.state = json.loads(checked_entry(tensors, "train.rng").tobytes().decode("utf-8"))
     return TrainState(
-        step=int(tensors["train.step"]),
+        step=int(checked_entry(tensors, "train.step", ())),
         moments=Moments(held),
         rng=rng,
-        running_loss=float(tensors["train.running_loss"]),
+        running_loss=float(checked_entry(tensors, "train.running_loss", ())),
     )
-
-
-def checkpoint_config_text(path) -> str:
-    tensors = load_checkpoint(path)
-    if "meta.config" not in tensors:
-        raise ValueError(f"checkpoint {path} carries no embedded config")
-    return tensors["meta.config"].tobytes().decode("utf-8")

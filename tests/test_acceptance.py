@@ -222,7 +222,7 @@ def test_c5_dense_oracle_equivalence():
             var = ((q_all - mu) ** 2).mean(axis=0)
             q_all = layer.bn.scale.data * (q_all - mu) / np.sqrt(var + layer.bn.eps) + layer.bn.shift.data
         sqrt_n = layer.index.sqrt_n
-        full = np.hstack([np.repeat(layer.index.left.keys.data, sqrt_n, 0), np.tile(layer.index.right.keys.data, (sqrt_n, 1))])
+        full = np.hstack([np.repeat(layer.index.left.data, sqrt_n, 0), np.tile(layer.index.right.data, (sqrt_n, 1))])
         scores_all = q_all @ full.T
         expected = np.zeros_like(x)
         for h in range(cfg.heads):

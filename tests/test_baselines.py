@@ -102,7 +102,7 @@ class TestPkm:
             q_all = bn.scale.data * (q_all - mu) / np.sqrt(var + bn.eps) + bn.shift.data
             sqrt_n = layer.index.sqrt_n
             full = np.hstack(
-                [np.repeat(layer.index.left.keys.data, sqrt_n, axis=0), np.tile(layer.index.right.keys.data, (sqrt_n, 1))]
+                [np.repeat(layer.index.left.data, sqrt_n, axis=0), np.tile(layer.index.right.data, (sqrt_n, 1))]
             )
             scores_all = q_all @ full.T
             expected = np.zeros_like(x)

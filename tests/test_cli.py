@@ -1,7 +1,9 @@
+import importlib
+
 import numpy as np
 import pytest
 
-from peer_lab import analysis
+from peer_lab import analysis, checkpoint
 from peer_lab.cli import main
 from peer_lab.config import parse_config
 from peer_lab.model import model_config_from_flat
@@ -115,6 +117,26 @@ class TestMetrics:
         missing = tmp_path / "no-such-checkpoint.bin"
         with pytest.raises(SystemExit, match="no routed experts"):
             main(["metrics", "--config", str(cfg), "--checkpoint", str(missing), "--out-dir", str(tmp_path / "m")])
+
+
+@pytest.mark.parametrize("command", ["eval", "metrics"])
+@pytest.mark.parametrize("with_config", [False, True])
+def test_checkpoint_read_once(command, with_config, tiny_cfg, tmp_path, monkeypatch, capsys):
+    run = tmp_path / "run"
+    main(["train", "--config", str(tiny_cfg), "--out-dir", str(run)])
+    reads = []
+
+    def counting(path):
+        reads.append(path)
+        return checkpoint.load_checkpoint(path)
+
+    for module in ("peer_lab.cli", "peer_lab.train"):
+        monkeypatch.setattr(importlib.import_module(module), "load_checkpoint", counting, raising=False)
+    args = [command, "--checkpoint", str(run / "checkpoint.bin")] + (["--config", str(tiny_cfg)] if with_config else [])
+    if command == "metrics":
+        args += ["--out-dir", str(tmp_path / "m")]
+    assert main(args) == 0
+    assert [str(p) for p in reads] == [str(run / "checkpoint.bin")]
 
 
 class TestGradCheckCommand:

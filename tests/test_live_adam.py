@@ -1,11 +1,11 @@
 """train_step's live-row Adam against a dense reference Adam, bitwise.
 
-train_step updates only the live rows of a 2-d parameter: rows with a nonzero
-gradient this step plus rows with nonzero moments, unless more than half the
-rows are live. Until then it holds the parameter's moments as those rows
-only. Every other row has zero gradient and zero moments, where dense Adam
-changes no bit, so parameters and moments must match the dense loop below
-exactly, and so must a checkpoint's bytes.
+train_step holds every parameter's Adam moments as its live rows: rows with
+a nonzero gradient this step plus rows with nonzero moments, and updates
+only those. Every other row has zero gradient and zero moments, where dense
+Adam changes no bit, so parameters and moments must match the dense loop
+below exactly, for every middle-layer kind and however many rows are live,
+and so must a checkpoint's bytes.
 """
 
 import importlib
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from peer_lab import tensor as T
+from peer_lab.baselines import MoeConfig, PkmConfig
 from peer_lab.data import Corpus
 from peer_lab.model import ModelConfig, build_model
 from peer_lab.peer import PeerConfig
@@ -27,19 +28,31 @@ CFG = TrainConfig(batch=2, lr=1e-2, warmup=2, seed=3)
 EXPERTS = ("peer.experts.down", "peer.experts.up")
 
 
-def peer_config() -> ModelConfig:
+def peer_config(n_experts: int = 32 * 32) -> ModelConfig:
     # 16 tokens x 2 heads x top-2 retrieve at most 64 of the 1024 experts per step
+    return tiny_config("peer", PeerConfig(n_experts=n_experts, heads=2, topk=2, d_model=8, query_dim=8))
+
+
+def tiny_config(kind: str, middle=None) -> ModelConfig:
     return ModelConfig(
         n_blocks=1,
         d_model=8,
         n_attn_heads=2,
         d_ff=16,
         seq_len=8,
-        middle_layer="peer",
-        middle_config=PeerConfig(n_experts=32 * 32, heads=2, topk=2, d_model=8, query_dim=8),
+        middle_layer=kind,
+        middle_config=middle,
         seed=0,
         dtype="float32",
     )
+
+
+MIDDLES = {
+    "dense": None,
+    "pkm": PkmConfig(n_memories=32 * 32, heads=2, topk=2, d_model=8, query_dim=8),
+    "peer": peer_config().middle_config,
+    "moe": MoeConfig(n_experts=2, d_model=8, d_ff=16, granularity=1),
+}
 
 
 def corpus() -> Corpus:
@@ -68,6 +81,11 @@ def dense_adam_step(model, loss_fn, data, rng, moments, step):
 
 def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def every_row(moments: dict) -> Moments:
+    """The reference's dense (m, v) arrays as Moments that hold every row live."""
+    return Moments({n: RowMoments(m.shape, m.dtype, np.arange(m.shape[0]), m, v) for n, (m, v) in moments.items()})
 
 
 def assert_same_state(model, moments, ref_model, ref_moments):
@@ -123,7 +141,7 @@ class TestPeerModel:
         # a checkpoint of the row-held moments has the bytes of the dense reference's
         assert all(isinstance(state.moments.held[name], RowMoments) for name in EXPERTS)
         save_train_checkpoint(tmp_path / "rows.bin", model, state)
-        dense_state = TrainState(step=state.step, moments=Moments(ref_moments), rng=ref_rng, running_loss=state.running_loss)
+        dense_state = TrainState(step=state.step, moments=every_row(ref_moments), rng=ref_rng, running_loss=state.running_loss)
         save_train_checkpoint(tmp_path / "dense.bin", ref, dense_state)
         assert (tmp_path / "rows.bin").read_bytes() == (tmp_path / "dense.bin").read_bytes()
 
@@ -153,6 +171,49 @@ class TestPeerModel:
             # no wider than the uninterrupted run's live rows
             ids = state.moments.held[name].ids
             assert ids.size and np.isin(ids, full_state.moments.held[name].ids).all()
+
+    def test_resume_from_tables_with_most_rows_live_equals_uninterrupted(self, tmp_path):
+        # 16 experts: 16 tokens x 2 heads x top-2 make most of each table live at once
+        data = corpus()
+        full = build_model(peer_config(4 * 4))
+        full_state = init_train_state(full, CFG)
+        for _ in range(6):
+            train_step(full, data, full_state, CFG)
+
+        first = build_model(peer_config(4 * 4))
+        first_state = init_train_state(first, CFG)
+        for _ in range(3):
+            train_step(first, data, first_state, CFG)
+        for name in EXPERTS:
+            assert first_state.moments.held[name].ids.size > 16 / 2
+        save_train_checkpoint(tmp_path / "mid.bin", first, first_state)
+
+        resumed = build_model(peer_config(4 * 4))
+        state = load_train_checkpoint(tmp_path / "mid.bin", resumed)
+        for _ in range(3):
+            train_step(resumed, data, state, CFG)
+        assert_same_state(resumed, state.moments, full, full_state.moments)
+        save_train_checkpoint(tmp_path / "resumed.bin", resumed, state)
+        save_train_checkpoint(tmp_path / "full.bin", full, full_state)
+        assert (tmp_path / "resumed.bin").read_bytes() == (tmp_path / "full.bin").read_bytes()
+
+
+@pytest.mark.parametrize("kind", sorted(MIDDLES))
+def test_every_kind_steps_and_checkpoints_equal_dense_adam(kind, tmp_path):
+    model, ref = build_model(tiny_config(kind, MIDDLES[kind])), build_model(tiny_config(kind, MIDDLES[kind]))
+    data = corpus()
+    state = init_train_state(model, CFG)
+    ref_moments = {n: (np.zeros_like(p.data), np.zeros_like(p.data)) for n, p in ref.named_parameters().items()}
+    ref_rng = np.random.default_rng(CFG.seed)
+    for step in range(1, 5):
+        train_step(model, data, state, CFG)
+        dense_adam_step(ref, ref.loss, data, ref_rng, ref_moments, step)
+        assert_same_state(model, state.moments, ref, ref_moments)
+    assert all(isinstance(held, RowMoments) for held in state.moments.held.values())
+    save_train_checkpoint(tmp_path / "rows.bin", model, state)
+    dense_state = TrainState(step=state.step, moments=every_row(ref_moments), rng=ref_rng, running_loss=state.running_loss)
+    save_train_checkpoint(tmp_path / "dense.bin", ref, dense_state)
+    assert (tmp_path / "rows.bin").read_bytes() == (tmp_path / "dense.bin").read_bytes()
 
 
 class TableModel:
@@ -191,8 +252,8 @@ class TableModel:
 
 
 def test_table_without_gradient_and_mixed_gradient(adam_calls):
-    # bytes 97..100 touch 4 of 256 rows, so the row path applies until a dense
-    # gradient on every row forces the dense update
+    # bytes 97..100 touch 4 of 256 rows, until a dense gradient on every row
+    # makes all 256 live
     data = Corpus.from_bytes(b"abcd" * 512)
     model, ref = TableModel(), TableModel()
     state = init_train_state(model, CFG)

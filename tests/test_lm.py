@@ -274,6 +274,30 @@ class TestCheckpointEntries:
             load_train_checkpoint(tmp_path / "bad.bin", build_model(tiny_config("peer")))
 
 
+    def test_missing_step_raises(self, saved, tmp_path):
+        del saved["train.step"]
+        save_checkpoint(tmp_path / "bad.bin", saved)
+        with pytest.raises(ValueError, match="missing tensor 'train.step'"):
+            load_train_checkpoint(tmp_path / "bad.bin", build_model(tiny_config("peer")))
+
+    def test_missing_rng_raises(self, saved, tmp_path):
+        del saved["train.rng"]
+        save_checkpoint(tmp_path / "bad.bin", saved)
+        with pytest.raises(ValueError, match="missing tensor 'train.rng'"):
+            load_train_checkpoint(tmp_path / "bad.bin", build_model(tiny_config("peer")))
+
+    def test_misshapen_step_raises(self, saved, tmp_path):
+        saved["train.step"] = np.full(3, 2, np.int64)
+        save_checkpoint(tmp_path / "bad.bin", saved)
+        with pytest.raises(ValueError, match=r"train\.step: checkpoint \(3,\) vs model \(\)"):
+            load_train_checkpoint(tmp_path / "bad.bin", build_model(tiny_config("peer")))
+
+    def test_misshapen_running_loss_raises(self, saved, tmp_path):
+        saved["train.running_loss"] = np.zeros(2)
+        save_checkpoint(tmp_path / "bad.bin", saved)
+        with pytest.raises(ValueError, match=r"train\.running_loss: checkpoint \(2,\) vs model \(\)"):
+            load_train_checkpoint(tmp_path / "bad.bin", build_model(tiny_config("peer")))
+
 class TestPerplexity:
     def test_matches_independent_average(self):
         model = build_model(tiny_config("pkm"))

@@ -45,7 +45,7 @@ def dense_reference(layer, x_batch, mode="infer"):
         q_all = bn.scale.data * (q_all - mu) / np.sqrt(var + bn.eps) + bn.shift.data
 
     sqrt_n = layer.index.sqrt_n
-    left, right = layer.index.left.keys.data, layer.index.right.keys.data
+    left, right = layer.index.left.data, layer.index.right.data
     full_keys = np.hstack([np.repeat(left, sqrt_n, axis=0), np.tile(right, (sqrt_n, 1))])
     scores_all = q_all @ full_keys.T  # [heads*m, N]
 

@@ -17,21 +17,21 @@ from peer_lab.tensor import MacMeter
 def hand_index():
     """N=4, d=2: left keys {1, -1}, right keys {2, 0.5}."""
     index = build_index(4, 2, seed=0)
-    index.left.keys.data[:] = np.array([[1.0], [-1.0]])
-    index.right.keys.data[:] = np.array([[2.0], [0.5]])
+    index.left.data[:] = np.array([[1.0], [-1.0]])
+    index.right.data[:] = np.array([[2.0], [0.5]])
     return index
 
 
 class TestBuildIndex:
     def test_million_experts_gives_1024_row_subkey_sets(self):
         index = build_index(1024**2, 8, seed=0)
-        assert index.left.keys.data.shape == (1024, 4)
-        assert index.right.keys.data.shape == (1024, 4)
+        assert index.left.data.shape == (1024, 4)
+        assert index.right.data.shape == (1024, 4)
         assert index.n_experts == 1048576
 
     def test_smallest_nontrivial(self):
         index = build_index(4, 2, seed=0)
-        assert index.left.keys.data.shape == (2, 1)
+        assert index.left.data.shape == (2, 1)
         assert index.sqrt_n == 2 and index.key_dim == 2
 
     def test_non_square_errors(self):
@@ -45,11 +45,11 @@ class TestBuildIndex:
     def test_deterministic_per_seed_and_in_range(self):
         a = build_index(64, 8, init_scale=0.25, seed=42)
         b = build_index(64, 8, init_scale=0.25, seed=42)
-        assert np.array_equal(a.left.keys.data, b.left.keys.data)
-        assert np.array_equal(a.right.keys.data, b.right.keys.data)
-        assert np.max(np.abs(a.left.keys.data)) <= 0.25
+        assert np.array_equal(a.left.data, b.left.data)
+        assert np.array_equal(a.right.data, b.right.data)
+        assert np.max(np.abs(a.left.data)) <= 0.25
         c = build_index(64, 8, init_scale=0.25, seed=43)
-        assert not np.array_equal(a.left.keys.data, c.left.keys.data)
+        assert not np.array_equal(a.left.data, c.left.data)
 
 
 class TestRetrieveTopk:
@@ -173,8 +173,8 @@ class TestOracleEquivalence:
         right = np.array(data.draw(st.lists(st.lists(grid, min_size=half, max_size=half), min_size=sqrt_n, max_size=sqrt_n)), dtype=np.float64)
         q = np.array(data.draw(st.lists(grid, min_size=2 * half, max_size=2 * half)), dtype=np.float64)
         index = build_index(sqrt_n * sqrt_n, 2 * half, seed=0)
-        index.left.keys.data[:] = left
-        index.right.keys.data[:] = right
+        index.left.data[:] = left
+        index.right.data[:] = right
         k = data.draw(st.integers(1, sqrt_n))
         got = retrieve_topk(index, q, k)
         want = retrieve_exhaustive(index, q, k)
@@ -205,7 +205,7 @@ class TestOracleEquivalence:
             sqrt_n = index.sqrt_n
             for expert, score in zip(result.indices, result.scores):
                 i, j = expert // sqrt_n, expert % sqrt_n
-                recomputed = float(index.left.keys.data[i] @ q[:8]) + float(index.right.keys.data[j] @ q[8:])
+                recomputed = float(index.left.data[i] @ q[:8]) + float(index.right.data[j] @ q[8:])
                 assert abs(score - recomputed) <= 1e-12
 
     def test_cost_sublinearity(self):
@@ -262,7 +262,7 @@ class TestTiledRetrieval:
         index = build_index(n, d, seed=4, dtype=dtype)
         # integer-valued keys and queries score exactly, with ties between experts
         whole = build_index(n, d, seed=4, dtype=dtype)
-        for keys in (whole.left.keys, whole.right.keys):
+        for keys in (whole.left, whole.right):
             keys.data[:] = np.round(keys.data * 3)
         t = tile_rows(index.sqrt_n)
         for m in (1, 2, t - 1, t, t + 1, 2 * t + 1):

@@ -83,8 +83,8 @@ def test_batched_retrieval_equals_exhaustive_on_integer_keys(data):
     dtype = data.draw(DTYPES, label="dtype")
     small = st.integers(-2, 2).map(float)
     index = build_index(sqrt_n * sqrt_n, 2 * half, seed=0, dtype=dtype)
-    index.left.keys.data[:] = data.draw(hnp.arrays(dtype, (sqrt_n, half), elements=small))
-    index.right.keys.data[:] = data.draw(hnp.arrays(dtype, (sqrt_n, half), elements=small))
+    index.left.data[:] = data.draw(hnp.arrays(dtype, (sqrt_n, half), elements=small))
+    index.right.data[:] = data.draw(hnp.arrays(dtype, (sqrt_n, half), elements=small))
     block = data.draw(hnp.arrays(dtype, (min(m, 6), 2 * half), elements=small))
     queries = np.resize(block, (m, 2 * half))
 
