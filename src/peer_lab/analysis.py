@@ -75,14 +75,9 @@ def measured_mac_per_token(layer, n_tokens: int = 64, seed: int = 0) -> int:
 def model_param_macs_per_token(model_cfg) -> int:
     """Parameter MACs per token for the whole model (sequence-independent)."""
     d = model_cfg.d_model
-    total = 0
+    total = d * model_cfg.vocab  # output head
     for i in range(model_cfg.n_blocks):
-        total += 4 * d * d  # q, k, v, output projections
-        if i == model_cfg.middle_index:
-            total += mac_per_token(model_cfg.middle_config)
-        else:
-            total += 2 * d * model_cfg.d_ff
-    total += d * model_cfg.vocab  # output head
+        total += 4 * d * d + model_cfg.ffw_config(i).mac_per_token()  # q, k, v, output projections; FFW
     return total
 
 

@@ -12,6 +12,7 @@ import numpy as np
 
 from . import tensor as T
 from .analysis import ParamCounts
+from .config import ACTIVATIONS, check_choice
 # retrieve_topk_batch is not called here; it stays bound in this module,
 # where tools that time the layers (perfbench/spans.py) look for it.
 from .product_keys import (  # noqa: F401
@@ -34,6 +35,9 @@ class DenseConfig:
     d_model: int = 64
     d_ff: int = 256
     activation: str = "gelu"
+
+    def __post_init__(self):
+        check_choice("activation", self.activation, ACTIVATIONS)
 
     def mac_per_token(self) -> int:
         return 2 * self.d_model * self.d_ff
@@ -65,17 +69,13 @@ class DenseFFW:
     def named_state(self) -> dict[str, np.ndarray]:
         return {}
 
-    def forward(self, x: Tensor, mode: str = "infer", collect_routing: bool = False):
+    def forward(self, x: Tensor, mode: str = "infer"):
         return dense_forward(self, x), None
 
 
 def dense_forward(layer: DenseFFW, x: Tensor) -> Tensor:
-    x2, in_shape = T.flatten_tokens(x)
     act = T.ACTIVATIONS[layer.config.activation]
-    y = T.matmul(act(T.matmul(x2, layer.w_in)), layer.w_out)
-    if len(in_shape) == 3:
-        y = T.reshape(y, in_shape)
-    return y
+    return T.matmul(act(T.matmul(x, layer.w_in)), layer.w_out)
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +86,6 @@ def dense_forward(layer: DenseFFW, x: Tensor) -> Tensor:
 @dataclass
 class PkmConfig(RouterConfig):
     n_memories: int = 4096
-    heads: int = 4
-    topk: int = 4
-    d_model: int = 64
-    query_dim: int = 128
-    score_norm: str = "softmax_per_head"
-    query_bn: bool = True
 
     keys_field = "n_memories"
 
@@ -128,17 +122,17 @@ class PkmLayer(ProductKeyLayer):
         params["pkm.values"] = self.values
         return params
 
-    def forward(self, x: Tensor, mode: str = "infer", collect_routing: bool = False):
-        return pkm_forward(self, x, mode=mode, collect_routing=collect_routing)
+    def forward(self, x: Tensor, mode: str = "infer"):
+        return pkm_forward(self, x, mode=mode)
 
 
-def pkm_forward(layer: PkmLayer, x: Tensor, mode: str = "infer", collect_routing: bool = False) -> tuple[Tensor, PeerRouting | None]:
+def pkm_forward(layer: PkmLayer, x: Tensor, mode: str = "infer") -> tuple[Tensor, PeerRouting]:
     """y = sum over heads of the score-weighted retrieved memory vectors.
 
     The payload does not depend on x beyond which slots the router picks.
     Returns (y, routing) as `ProductKeyLayer.route` does.
     """
-    return layer.route(x, mode, collect_routing, lambda x2, idx, weights: T.gather_weighted_sum(weights, layer.values, idx))
+    return layer.route(x, mode, lambda x, idx, weights: T.gather_weighted_sum(weights, layer.values, idx))
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +153,7 @@ class MoeConfig:
             raise ValueError(f"n_experts must be >= 1, got {self.n_experts}")
         if self.granularity < 1:
             raise ValueError(f"granularity must be >= 1, got {self.granularity}")
+        check_choice("activation", self.activation, ACTIVATIONS)
 
     def mac_per_token(self) -> int:
         return self.d_model * self.n_experts + self.granularity * 2 * self.d_model * self.d_ff
@@ -197,7 +192,7 @@ class ExpertChoiceMoE:
     def named_state(self) -> dict[str, np.ndarray]:
         return {}
 
-    def forward(self, x: Tensor, mode: str = "infer", collect_routing: bool = False):
+    def forward(self, x: Tensor, mode: str = "infer"):
         return expert_choice_forward(self, x), None
 
 
@@ -206,8 +201,7 @@ def expert_choice_forward(layer: ExpertChoiceMoE, x: Tensor, capacity: int | Non
     independently processes its top-capacity tokens (ties to the lower token
     index). Tokens picked by nobody contribute zeros.
     """
-    x2, in_shape = T.flatten_tokens(x)
-    m = x2.data.shape[0]
+    m = x.data.shape[0]
     if m < 1:
         raise ValueError("expert_choice_forward needs at least one token")
     c = layer.capacity(m) if capacity is None else capacity
@@ -215,16 +209,13 @@ def expert_choice_forward(layer: ExpertChoiceMoE, x: Tensor, capacity: int | Non
         raise ValueError(f"capacity must be >= 1, got {c}")
     c = min(c, m)
 
-    scores = T.softmax(T.matmul(x2, layer.gate))  # [m, n_experts]
-    y = Tensor(np.zeros_like(x2.data))  # zero base carried through scatter adds
+    scores = T.softmax(T.matmul(x, layer.gate))  # [m, n_experts]
+    y = Tensor(np.zeros_like(x.data))  # zero base carried through scatter adds
     for e, expert in enumerate(layer.experts):
         col = scores.data[:, e]
         token_idx, _ = T.top_k(col, c)
-        picked_x = T.gather_rows(x2, token_idx)
+        picked_x = T.gather_rows(x, token_idx)
         out = dense_forward(expert, picked_x)
         picked_scores = T.gather_rows(T.col_slice(scores, e, e + 1), token_idx)  # [c, 1]
         y = T.scatter_rows_add(y, token_idx, T.mul(out, picked_scores))
-
-    if len(in_shape) == 3:
-        y = T.reshape(y, in_shape)
     return y

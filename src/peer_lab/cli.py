@@ -153,7 +153,7 @@ def cmd_metrics(args) -> int:
         raise SystemExit("validation split is empty")
     acc = analysis.UsageAccumulator.create(model.middle.config.n_keys)
     for x, _ in windows:
-        _, routing = model.forward(x[None, :], mode="infer", collect_routing=True)
+        _, routing = model.forward(x[None, :], mode="infer")
         record_usage(routing, acc)
     usage, unevenness = analysis.expert_usage_metrics(acc)
     print(f"usage={usage} unevenness={unevenness}")

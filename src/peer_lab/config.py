@@ -11,6 +11,16 @@ import dataclasses
 from typing import Any, Callable
 
 
+ACTIVATIONS = ("relu", "gelu")  # the activations a feedforward layer may be configured with
+DTYPES = ("float32", "float64")
+
+
+def check_choice(field: str, value, options: tuple) -> None:
+    """ValueError naming `field` unless `value` is one of `options`."""
+    if value not in options:
+        raise ValueError(f"{field} must be one of {options}, got {value!r}")
+
+
 def _bool(s: str) -> bool:
     low = s.strip().lower()
     if low in ("1", "true", "yes"):
@@ -45,15 +55,15 @@ SCHEMA: dict[str, tuple[Callable[[str], Any], Any]] = {
     "model.n_attn_heads": (int, 4),
     "model.d_ff": (int, 256),
     "model.seq_len": (int, 256),
-    "model.activation": (_choice("relu", "gelu"), "gelu"),
+    "model.activation": (_choice(*ACTIVATIONS), "gelu"),
     "model.middle_layer": (_choice("dense", "pkm", "peer", "moe"), "dense"),
     "model.seed": (int, 0),
-    "model.dtype": (_choice("float32", "float64"), "float32"),
+    "model.dtype": (_choice(*DTYPES), "float32"),
     "peer.n_experts": (int, 4096),
     "peer.heads": (int, 4),
     "peer.topk": (int, 4),
     "peer.query_dim": (int, 128),
-    "peer.activation": (_choice("relu", "gelu"), "gelu"),
+    "peer.activation": (_choice(*ACTIVATIONS), "gelu"),
     "peer.score_norm": (_choice("softmax_per_head", "sigmoid"), "softmax_per_head"),
     "peer.query_bn": (_bool, True),
     "peer.glu": (_bool, False),

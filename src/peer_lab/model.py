@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .baselines import DenseConfig, DenseFFW, ExpertChoiceMoE, MoeConfig, PkmConfig, PkmLayer
 from .checkpoint import checked_entry
-from .config import dataclass_from_flat
+from .config import ACTIVATIONS, DTYPES, check_choice, dataclass_from_flat
 from .peer import PeerConfig, PeerLayer
 from .tensor import Tensor
 
@@ -26,8 +26,9 @@ _MASK_FILL = -1e30
 
 # middle-layer kind -> (config class, layer class). A config carries its own
 # mac_per_token() and param_counts(); a layer class has build(config, seed,
-# dtype), named_parameters(), named_state() and forward(x, mode,
-# collect_routing). Flat config keys of a kind are "<kind>.<field>".
+# dtype), named_parameters(), named_state() and forward(x, mode): token rows
+# [tokens, d_model] -> (rows, routing echo or None). Flat config keys of a
+# kind are "<kind>.<field>".
 MIDDLE_LAYERS = {
     "dense": (DenseConfig, DenseFFW),
     "pkm": (PkmConfig, PkmLayer),
@@ -55,10 +56,11 @@ class ModelConfig:
             raise ValueError(f"n_blocks must be >= 1, got {self.n_blocks}")
         if self.d_model % self.n_attn_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_attn_heads {self.n_attn_heads}")
-        if self.middle_layer not in MIDDLE_LAYERS:
-            raise ValueError(f"middle_layer must be {'|'.join(MIDDLE_LAYERS)}, got {self.middle_layer!r}")
+        check_choice("middle_layer", self.middle_layer, tuple(MIDDLE_LAYERS))
         if self.vocab != VOCAB:
             raise ValueError(f"byte-level model requires vocab={VOCAB}, got {self.vocab}")
+        check_choice("dtype", self.dtype, DTYPES)
+        check_choice("activation", self.activation, ACTIVATIONS)
         config_cls = MIDDLE_LAYERS[self.middle_layer][0]
         if self.middle_config is None:
             shared = {"d_model": self.d_model, "d_ff": self.d_ff, "activation": self.activation}
@@ -72,6 +74,13 @@ class ModelConfig:
     @property
     def middle_index(self) -> int:
         return self.n_blocks // 2
+
+    def ffw_config(self, i: int):
+        """Block i's feedforward config: the middle block's configured kind,
+        a dense FFW of the model's dims everywhere else."""
+        if i == self.middle_index:
+            return self.middle_config
+        return DenseConfig(d_model=self.d_model, d_ff=self.d_ff, activation=self.activation)
 
     @property
     def np_dtype(self):
@@ -111,15 +120,15 @@ class Block:
         return params
 
     def attend(self, x: Tensor, mask: Tensor) -> Tensor:
-        b, t, d = x.data.shape
-        x2 = T.reshape(x, (b * t, d))
-        q, k, v = (T.reshape(T.matmul(x2, w), (b, t, d)) for w in (self.wq, self.wk, self.wv))
-        out = T.reshape(T.causal_attention(q, k, v, self.n_heads, mask), (b * t, d))
-        return T.reshape(T.matmul(out, self.wo), (b, t, d))
+        """Token rows [b*t, d] of b sequences -> rows; t is the [t, t] mask's size."""
+        shape = (-1, mask.data.shape[0], x.data.shape[1])
+        q, k, v = (T.reshape(T.matmul(x, w), shape) for w in (self.wq, self.wk, self.wv))
+        out = T.reshape(T.causal_attention(q, k, v, self.n_heads, mask), x.data.shape)
+        return T.matmul(out, self.wo)
 
-    def forward(self, x: Tensor, mask: Tensor, mode: str, collect_routing: bool = False):
+    def forward(self, x: Tensor, mask: Tensor, mode: str):
         h = T.add(x, self.attend(T.layer_norm(x, self.ln1_scale, self.ln1_shift), mask))
-        ffw_out, routing = self.ffw.forward(T.layer_norm(h, self.ln2_scale, self.ln2_shift), mode=mode, collect_routing=collect_routing)
+        ffw_out, routing = self.ffw.forward(T.layer_norm(h, self.ln2_scale, self.ln2_shift), mode=mode)
         return T.add(h, ffw_out), routing
 
 
@@ -139,15 +148,11 @@ class Model:
 
         self.blocks: list[Block] = []
         for i in range(config.n_blocks):
+            ffw_config = config.ffw_config(i)
             if i == config.middle_index:
-                ffw = MIDDLE_LAYERS[config.middle_layer][1].build(config.middle_config, seed=middle_seed, dtype=dtype)
+                ffw = MIDDLE_LAYERS[config.middle_layer][1].build(ffw_config, seed=middle_seed, dtype=dtype)
             else:
-                ffw = DenseFFW.build(
-                    DenseConfig(d_model=d, d_ff=config.d_ff, activation=config.activation),
-                    seed=int(backbone_rng.integers(0, 2**31 - 1)),
-                    dtype=dtype,
-                    prefix=f"block{i}.ffw",
-                )
+                ffw = DenseFFW.build(ffw_config, seed=int(backbone_rng.integers(0, 2**31 - 1)), dtype=dtype, prefix=f"block{i}.ffw")
             self.blocks.append(Block(i, d, config.n_attn_heads, ffw, backbone_rng, dtype))
 
         self.lnf_scale = Tensor(np.ones(d, dtype=dtype), requires_grad=True)
@@ -169,7 +174,7 @@ class Model:
         return params
 
     def named_state(self) -> dict[str, np.ndarray]:
-        return dict(self.middle.named_state())
+        return {name: arr for block in self.blocks for name, arr in block.ffw.named_state().items()}
 
     def load_tensors(self, tensors: dict[str, np.ndarray]) -> None:
         """Assign parameter and state values from a checkpoint dict; each must
@@ -188,8 +193,9 @@ class Model:
             self._masks[t] = Tensor(m)
         return self._masks[t]
 
-    def forward(self, tokens: np.ndarray, mode: str = "infer", collect_routing: bool = False):
-        """tokens [batch, time] -> (logits Tensor [batch*time, vocab], middle routing or None)."""
+    def forward(self, tokens: np.ndarray, mode: str = "infer"):
+        """tokens [batch, time] -> (logits Tensor [batch*time, vocab], the
+        middle layer's routing echo, or None for a dense or MoE middle)."""
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
             raise ValueError(f"tokens must be [batch, time], got shape {tokens.shape}")
@@ -197,15 +203,13 @@ class Model:
         if t > self.config.seq_len:
             raise ValueError(f"sequence length {t} exceeds configured maximum {self.config.seq_len}")
         x = T.add(T.gather_rows(self.tok_emb, tokens), T.gather_rows(self.pos_emb, np.arange(t)))
+        x = T.reshape(x, (b * t, self.config.d_model))
         mask = self._mask(t)
-        routing = None
         for i, block in enumerate(self.blocks):
-            want = collect_routing and i == self.config.middle_index
-            x, r = block.forward(x, mask, mode, collect_routing=want)
-            if want:
+            x, r = block.forward(x, mask, mode)
+            if i == self.config.middle_index:
                 routing = r
-        x2 = T.layer_norm(T.reshape(x, (b * t, self.config.d_model)), self.lnf_scale, self.lnf_shift)
-        logits = T.matmul(x2, self.lm_head)
+        logits = T.matmul(T.layer_norm(x, self.lnf_scale, self.lnf_shift), self.lm_head)
         return logits, routing
 
     def loss(self, tokens: np.ndarray, targets: np.ndarray, mode: str = "train") -> Tensor:
@@ -231,8 +235,7 @@ def model_config_from_flat(cfg: dict, method: str | None = None, d_model: int | 
         "model.d_ff": d_ff or cfg["model.d_ff"],
     }
     kind = cfg["model.middle_layer"]
-    if kind not in MIDDLE_LAYERS:
-        raise ValueError(f"unknown middle layer kind {kind!r}")
+    check_choice("model.middle_layer", kind, tuple(MIDDLE_LAYERS))
     shared = {"d_model": cfg["model.d_model"], "d_ff": cfg["model.d_ff"], "activation": cfg["model.activation"]}
     middle = dataclass_from_flat(MIDDLE_LAYERS[kind][0], cfg, kind, **shared)
     return dataclass_from_flat(ModelConfig, cfg, "model", middle_config=middle)

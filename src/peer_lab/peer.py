@@ -20,6 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .analysis import ParamCounts
+from .config import ACTIVATIONS, check_choice
 # retrieve_topk_batch is not called here; it stays bound in this module,
 # where tools that time the layers (perfbench/spans.py) look for it.
 from .product_keys import (  # noqa: F401
@@ -35,19 +36,12 @@ from .tensor import BNState, Tensor
 @dataclass
 class PeerConfig(RouterConfig):
     n_experts: int = 4096
-    heads: int = 4
-    topk: int = 4
-    d_model: int = 64
-    query_dim: int = 128
     activation: str = "gelu"
-    score_norm: str = "softmax_per_head"
-    query_bn: bool = True
     glu: bool = False
 
     def __post_init__(self):
         super().__post_init__()
-        if self.activation not in ("relu", "gelu"):
-            raise ValueError(f"activation must be 'relu' or 'gelu', got {self.activation!r}")
+        check_choice("activation", self.activation, ACTIVATIONS)
 
     @property
     def granularity(self) -> int:
@@ -106,11 +100,11 @@ class PeerLayer(ProductKeyLayer):
             params["peer.experts.gate"] = self.experts.w_gate
         return params
 
-    def forward(self, x: Tensor, mode: str = "infer", collect_routing: bool = False):
-        return peer_forward(self, x, mode=mode, collect_routing=collect_routing)
+    def forward(self, x: Tensor, mode: str = "infer"):
+        return peer_forward(self, x, mode=mode)
 
 
-def peer_forward(layer: PeerLayer, x: Tensor, mode: str = "infer", collect_routing: bool = False) -> tuple[Tensor, PeerRouting | None]:
+def peer_forward(layer: PeerLayer, x: Tensor, mode: str = "infer") -> tuple[Tensor, PeerRouting]:
     """Route every token through its top experts and sum the head outputs.
 
     Each retrieved expert is one hidden neuron: down(x) -> activation
@@ -120,14 +114,14 @@ def peer_forward(layer: PeerLayer, x: Tensor, mode: str = "infer", collect_routi
     cfg = layer.config
     activation = T.ACTIVATIONS[cfg.activation]
 
-    def experts(x2: Tensor, idx: np.ndarray, weights: Tensor) -> Tensor:
-        x_rep = T.concat([x2] * cfg.heads, axis=0) if cfg.heads > 1 else x2
+    def experts(x: Tensor, idx: np.ndarray, weights: Tensor) -> Tensor:
+        x_rep = T.concat([x] * cfg.heads, axis=0) if cfg.heads > 1 else x
         act = activation(T.gather_dot(x_rep, layer.experts.w_down, idx))
         if layer.experts.w_gate is not None:
             act = T.mul(act, T.gather_dot(x_rep, layer.experts.w_gate, idx))
         return T.gather_weighted_sum(T.mul(weights, act), layer.experts.w_up, idx)
 
-    return layer.route(x, mode, collect_routing, experts)
+    return layer.route(x, mode, experts)
 
 
 def peer_backward(layer: PeerLayer, x: Tensor, upstream, mode: str = "train") -> tuple[dict[str, np.ndarray], np.ndarray]:
@@ -171,7 +165,7 @@ def assemble_dense_equivalent(layer: PeerLayer, x: Tensor, mode: str = "infer") 
     q = x.data if isinstance(x, Tensor) else np.asarray(x)
     if q.ndim != 1 or q.shape[0] != cfg.d_model:
         raise ValueError(f"expected a single token of dim {cfg.d_model}, got shape {q.shape}")
-    _, routing = peer_forward(layer, Tensor(q[None, :], dtype=q.dtype), mode=mode, collect_routing=True)
+    _, routing = peer_forward(layer, Tensor(q[None, :], dtype=q.dtype), mode=mode)
     ids = routing.indices[0, :, 0]
     w = layer.experts.w_down.data[ids].T.copy()  # [d_model, heads]
     v = layer.experts.w_up.data[ids].T.copy()
@@ -179,7 +173,7 @@ def assemble_dense_equivalent(layer: PeerLayer, x: Tensor, mode: str = "infer") 
 
 
 def record_usage(routing: PeerRouting, acc) -> None:
-    """Add this routing echo's normalized weights into a usage accumulator."""
-    if routing.indices.size and (routing.indices.min() < 0 or routing.indices.max() >= routing.n_experts):
-        raise IndexError(f"routing contains expert ids outside [0, {routing.n_experts})")
+    """Add this routing echo's normalized weights into a usage accumulator over the same experts."""
+    if acc.z_prime.size != routing.n_experts:
+        raise ValueError(f"accumulator holds {acc.z_prime.size} experts, routing echo has {routing.n_experts}")
     acc.accumulate(routing.indices.ravel(), routing.weights.ravel(), tokens=routing.indices.shape[0])

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .config import check_choice
 from .tensor import BNState, Tensor, count_macs, top_k
 
 SCORE_NORMS = ("softmax_per_head", "sigmoid")
@@ -208,13 +209,20 @@ class PeerRouting:
     n_experts: int
 
 
+@dataclass
 class RouterConfig:
-    """Validation and costs of the router fields PeerConfig and PkmConfig share.
+    """The router fields PeerConfig and PkmConfig share, their validation and costs.
 
-    A subclass is a dataclass with `heads`, `topk`, `d_model`, `query_dim`,
-    `score_norm` and `query_bn` fields; `keys_field` names its field holding
-    the number of product keys.
+    A subclass adds the field holding the number of product keys, which
+    `keys_field` names, and the fields of its payload.
     """
+
+    heads: int = 4
+    topk: int = 4
+    d_model: int = 64
+    query_dim: int = 128
+    score_norm: str = "softmax_per_head"
+    query_bn: bool = True
 
     keys_field = "n_experts"
 
@@ -232,8 +240,7 @@ class RouterConfig:
             raise ValueError(f"heads must be >= 1, got {self.heads}")
         if self.query_dim % 2 != 0:
             raise ValueError(f"query_dim must be even, got {self.query_dim}")
-        if self.score_norm not in SCORE_NORMS:
-            raise ValueError(f"score_norm must be one of {SCORE_NORMS}, got {self.score_norm!r}")
+        check_choice("score_norm", self.score_norm, SCORE_NORMS)
 
     def router_numel(self) -> int:
         """Sub-keys, query nets and query BN (scale, shift, running mean and var)."""
@@ -298,22 +305,22 @@ class ProductKeyLayer:
             return {}
         return {f"{self.prefix}.bn.mean": self.bn.running_mean, f"{self.prefix}.bn.var": self.bn.running_var}
 
-    def route(self, x: Tensor, mode: str, collect_routing: bool, payload) -> tuple[Tensor, PeerRouting | None]:
+    def route(self, x: Tensor, mode: str, payload) -> tuple[Tensor, PeerRouting]:
         """Retrieve every token's top keys per head and sum the heads' payloads.
 
-        `payload(x2, idx, weights)` gets the token rows x2 [m, d_model], the
+        `payload(x, idx, weights)` gets the token rows x [m, d_model], the
         retrieved ids idx [heads*m, topk] (head-major) and their normalized
-        scores, and returns [heads*m, d_model]. Returns (y shaped like x,
-        routing echo or None); routing is populated only when
-        `collect_routing`. Differentiable end to end except the top-k
-        selection itself: gradients flow through the selected scores and the
-        rows the payload reads only.
+        scores, and returns [heads*m, d_model]. Returns (y [m, d_model],
+        routing echo). Differentiable end to end except the top-k selection
+        itself: gradients flow through the selected scores and the rows the
+        payload reads only.
         """
         cfg = self.config
         if mode not in ("train", "infer"):
             raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-        x2, in_shape = T.flatten_tokens(x)
-        m, d_model = x2.data.shape
+        if x.data.ndim != 2:
+            raise ValueError(f"expected token rows [tokens, d_model], got shape {x.data.shape}")
+        m, d_model = x.data.shape
         if d_model != cfg.d_model:
             raise ValueError(f"input feature dim {d_model} != configured d_model {cfg.d_model}")
         if mode == "train" and cfg.query_bn and m < 2:
@@ -321,7 +328,7 @@ class ProductKeyLayer:
 
         # Queries for every head stacked head-major [heads*m, d], then one shared
         # feature-wise BN over all of them (applied before the half split).
-        q_heads = [T.matmul(x2, w) for w in self.query_nets]
+        q_heads = [T.matmul(x, w) for w in self.query_nets]
         q_all = T.concat(q_heads, axis=0) if cfg.heads > 1 else q_heads[0]
         if self.bn is not None:
             q_all = T.batch_norm(q_all, self.bn, mode)
@@ -340,19 +347,14 @@ class ProductKeyLayer:
 
         # softmax normalizes over the k retrieved scores within each head
         weights = T.softmax(scores) if cfg.score_norm == "softmax_per_head" else T.sigmoid(scores)
-        y_flat = payload(x2, idx, weights)
+        y_flat = payload(x, idx, weights)
 
         y = T.row_slice(y_flat, 0, m) if cfg.heads > 1 else y_flat
         for h in range(1, cfg.heads):
             y = T.add(y, T.row_slice(y_flat, h * m, (h + 1) * m))
 
-        routing = None
-        if collect_routing:
-            routing = PeerRouting(
-                indices=idx.reshape(cfg.heads, m, cfg.topk).transpose(1, 0, 2).copy(),
-                weights=weights.data.reshape(cfg.heads, m, cfg.topk).transpose(1, 0, 2).copy(),
-                n_experts=cfg.n_keys,
-            )
-        if len(in_shape) == 3:
-            y = T.reshape(y, in_shape)
-        return y, routing
+        return y, PeerRouting(
+            indices=idx.reshape(cfg.heads, m, cfg.topk).transpose(1, 0, 2).copy(),
+            weights=weights.data.reshape(cfg.heads, m, cfg.topk).transpose(1, 0, 2).copy(),
+            n_experts=cfg.n_keys,
+        )

@@ -378,16 +378,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _register(out, a.requires_grad, backward)
 
 
-def flatten_tokens(x: Tensor) -> tuple[Tensor, tuple[int, ...]]:
-    """[tokens, d] as it is, or [batch, time, d] reshaped to token rows; also returns the input shape."""
-    if x.data.ndim == 2:
-        return x, x.data.shape
-    if x.data.ndim == 3:
-        b, t, d = x.data.shape
-        return reshape(x, (b * t, d)), (b, t, d)
-    raise ValueError(f"expected x of shape [tokens, d_model] or [batch, time, d_model], got {x.data.shape}")
-
-
 def col_slice(a: Tensor, start: int, stop: int) -> Tensor:
     """Slice [start:stop] along the last axis; backward pads with zeros."""
     out = Tensor(a.data[..., start:stop])

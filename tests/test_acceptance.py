@@ -155,7 +155,7 @@ def test_c4_full_model_gradients():
     for p in model.named_parameters().values():
         p.zero_grad()
     with T.Tape() as tape:
-        logits, routing = model.forward(tokens, mode="train", collect_routing=True)
+        logits, routing = model.forward(tokens, mode="train")
         loss = T.cross_entropy_with_logits(logits, targets.reshape(-1))
         tape.backward(loss)
     params = model.named_parameters()
@@ -195,7 +195,7 @@ def test_c5_dense_oracle_equivalence():
         layer = PeerLayer.build(cfg, seed=seed)
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(4, 8))
-        y, routing = peer_forward(layer, Tensor(x), mode="train", collect_routing=True)
+        y, routing = peer_forward(layer, Tensor(x), mode="train")
         ref_y, ref_idx = dense_reference(layer, x, mode="train")
         assert np.array_equal(routing.indices, ref_idx)
         worst_peer = max(worst_peer, float(np.max(np.abs(y.data - ref_y))))
@@ -214,7 +214,7 @@ def test_c5_dense_oracle_equivalence():
         layer = PkmLayer.build(cfg, seed=seed)
         rng = np.random.default_rng(1000 + seed)
         x = rng.normal(size=(4, 8))
-        y, routing = pkm_forward(layer, Tensor(x), mode="train", collect_routing=True)
+        y, routing = pkm_forward(layer, Tensor(x), mode="train")
         # brute force over all memories
         q_all = np.concatenate([x @ w.data for w in layer.query_nets], axis=0)
         if layer.bn is not None:
@@ -290,11 +290,12 @@ def validation_usage(model, corpus, chunk=16):
     windows = corpus.val_windows(model.config.seq_len)
     for lo in range(0, len(windows), chunk):
         x = np.stack([w[0] for w in windows[lo : lo + chunk]])
-        _, routing = model.forward(x, mode="infer", collect_routing=True)
+        _, routing = model.forward(x, mode="infer")
         record_usage(routing, acc)
     return expert_usage_metrics(acc)
 
 
+@pytest.mark.slow
 def test_c7_desk_training(tmp_path):
     started = time.perf_counter()
     corpus = Corpus.synthetic(1 << 20, seed=0)

@@ -17,6 +17,7 @@ from peer_lab.baselines import (
     pkm_forward,
 )
 from peer_lab.peer import PeerConfig, PeerLayer, assemble_dense_equivalent, peer_forward
+from peer_lab.product_keys import RouterConfig
 from peer_lab.tensor import MacMeter, Tensor
 
 
@@ -72,7 +73,7 @@ class TestPkm:
         layer = PkmLayer.build(cfg, seed=0)
         rng = np.random.default_rng(0)
         x = rng.normal(size=8)
-        y, routing = pkm_forward(layer, Tensor(x[None, :]), collect_routing=True)
+        y, routing = pkm_forward(layer, Tensor(x[None, :]))
         j = routing.indices[0, 0, 0]
         assert routing.weights[0, 0, 0] == 1.0
         assert np.allclose(y.data[0], layer.values.data[j], atol=1e-14)
@@ -84,7 +85,7 @@ class TestPkm:
         layer = PkmLayer.build(cfg, seed=1)
         rng = np.random.default_rng(1)
         x = rng.normal(size=(4, 8))
-        y, routing = pkm_forward(layer, Tensor(x), collect_routing=True)
+        y, routing = pkm_forward(layer, Tensor(x))
         frozen = np.einsum("mhk,mhkd->md", routing.weights, layer.values.data[routing.indices])
         assert np.max(np.abs(y.data - frozen)) <= 1e-12
 
@@ -94,7 +95,7 @@ class TestPkm:
             layer = PkmLayer.build(cfg, seed=seed)
             rng = np.random.default_rng(seed)
             x = rng.normal(size=(5, 8))
-            y, routing = pkm_forward(layer, Tensor(x), mode="train", collect_routing=True)
+            y, routing = pkm_forward(layer, Tensor(x), mode="train")
             q_all = np.concatenate([x @ w.data for w in layer.query_nets], axis=0)
             bn = layer.bn
             mu = q_all.mean(axis=0)
@@ -133,8 +134,8 @@ class TestPkm:
             peer.bn = pkm.bn
             rng = np.random.default_rng(7)
             x = Tensor(rng.normal(size=(6, 8)))
-            _, routing_pkm = pkm_forward(pkm, x, mode=mode, collect_routing=True)
-            _, routing_peer = peer_forward(peer, x, mode=mode, collect_routing=True)
+            _, routing_pkm = pkm_forward(pkm, x, mode=mode)
+            _, routing_peer = peer_forward(peer, x, mode=mode)
             assert np.array_equal(routing_pkm.indices, routing_peer.indices)
             assert routing_pkm.weights.tobytes() == routing_peer.weights.tobytes(), (score_norm, query_bn, mode)
 
@@ -158,7 +159,7 @@ class TestPkm:
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(size=(5, 8)))
         with T.Tape() as tape:
-            y, routing = pkm_forward(layer, x, mode="train", collect_routing=True)
+            y, routing = pkm_forward(layer, x, mode="train")
             tape.backward(y, grad=rng.normal(size=(5, 8)))
         grads = {name: p.grad for name, p in layer.named_parameters().items()}
         sqrt_n = layer.index.sqrt_n
@@ -255,6 +256,24 @@ class TestExpertChoice:
         params["x"] = x
         errors = T.grad_check_detail(f, params, step=1e-5, max_coords=6, seed=4)
         assert max(errors.values()) <= 1e-3
+
+
+class TestConfigs:
+    def test_dense_activation_checked(self):
+        with pytest.raises(ValueError, match="activation must be one of"):
+            DenseConfig(activation="nope")
+
+    def test_moe_activation_checked(self):
+        with pytest.raises(ValueError, match="activation must be one of"):
+            MoeConfig(activation="sigmoid")
+
+    def test_router_fields_declared_once(self):
+        shared = {"heads": 4, "topk": 4, "d_model": 64, "query_dim": 128, "score_norm": "softmax_per_head", "query_bn": True}
+        assert {f.name: f.default for f in dataclasses.fields(RouterConfig)} == shared
+        for cls, keys in ((PeerConfig, "n_experts"), (PkmConfig, "n_memories")):
+            assert issubclass(cls, RouterConfig) and dataclasses.is_dataclass(cls)
+            assert cls.keys_field == keys
+            assert {name: getattr(cls(), name) for name in shared} == shared
 
 
 class TestCommonInterface:

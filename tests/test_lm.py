@@ -9,8 +9,9 @@ from peer_lab import tensor as T
 from peer_lab.baselines import DenseConfig, MoeConfig, PkmConfig
 from peer_lab.checkpoint import load_checkpoint, save_checkpoint
 from peer_lab.data import Corpus
-from peer_lab.model import ModelConfig, build_model
-from peer_lab.peer import PeerConfig
+from peer_lab.config import default_config
+from peer_lab.model import ModelConfig, build_model, model_config_from_flat
+from peer_lab.peer import PeerConfig, PeerRouting
 from peer_lab.train import (
     TrainConfig,
     TrainingDiverged,
@@ -106,12 +107,28 @@ class TestBuildModel:
         with pytest.raises(ValueError):
             ModelConfig(n_blocks=1, d_model=16, n_attn_heads=2, d_ff=32, seq_len=8, vocab=1000)
 
+    def test_unknown_dtype_rejected(self):
+        with pytest.raises(ValueError, match="dtype must be one of"):
+            tiny_config(dtype="float16")
+
+    def test_unknown_activation_rejected(self):
+        with pytest.raises(ValueError, match="activation must be one of"):
+            tiny_config(activation="tanh")
+
+    def test_block_layout(self):
+        config = tiny_config("peer", n_blocks=3)
+        assert config.ffw_config(1) is config.middle_config
+        for i in (0, 2):
+            assert config.ffw_config(i) == DenseConfig(d_model=16, d_ff=32, activation="gelu")
+        model = build_model(config)
+        assert [block.ffw.config for block in model.blocks] == [config.ffw_config(i) for i in range(3)]
+
 
 class TestForward:
     def test_logit_shape_and_finite(self):
         model = build_model(tiny_config("peer"))
         tokens = np.random.default_rng(0).integers(0, 256, size=(2, 8))
-        logits, routing = model.forward(tokens, mode="train", collect_routing=True)
+        logits, routing = model.forward(tokens, mode="train")
         assert logits.data.shape == (16, 256)
         assert np.all(np.isfinite(logits.data))
         assert routing.indices.shape == (16, 2, 2)
@@ -122,6 +139,27 @@ class TestForward:
         assert evaluate_perplexity(model, corpus) == pytest.approx(256.0, rel=1e-6)
         model64 = build_model(tiny_config(dtype="float64"))
         assert evaluate_perplexity(model64, corpus) == pytest.approx(256.0, rel=1e-12)
+
+    @pytest.mark.parametrize("middle", ["dense", "pkm", "peer", "moe"])
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_routing_echo_of_the_middle_layer(self, middle, mode):
+        model = build_model(tiny_config(middle))
+        tokens = np.random.default_rng(0).integers(0, 256, size=(2, 8))
+        _, routing = model.forward(tokens, mode=mode)
+        if middle in ("dense", "moe"):
+            assert routing is None
+        else:
+            assert isinstance(routing, PeerRouting)
+            assert routing.indices.shape == routing.weights.shape == (16, 2, 2)
+            assert routing.n_experts == 64
+
+    @pytest.mark.parametrize("middle,nodes", [("peer", 60), ("pkm", 56)])
+    def test_desk_loss_forward_tape_nodes(self, middle, nodes):
+        model = build_model(model_config_from_flat({**default_config(), "model.middle_layer": middle}))
+        tokens = np.random.default_rng(0).integers(0, 256, size=(2, 8))
+        with T.Tape() as tape:
+            model.loss(tokens[:, :-1], tokens[:, 1:])
+        assert len(tape) == nodes
 
     def test_sequence_too_long_errors(self):
         model = build_model(tiny_config())

@@ -95,7 +95,7 @@ class TestForward:
         layer = PeerLayer.build(cfg, seed=0)
         rng = np.random.default_rng(0)
         x = rng.normal(size=8)
-        y, routing = peer_forward(layer, Tensor(x[None, :]), collect_routing=True)
+        y, routing = peer_forward(layer, Tensor(x[None, :]))
         assert routing.weights[0, 0, 0] == 1.0
         j = routing.indices[0, 0, 0]
         expected = max(0.0, float(layer.experts.w_down.data[j] @ x)) * layer.experts.w_up.data[j]
@@ -150,7 +150,7 @@ class TestForward:
             layer = PeerLayer.build(cfg, seed=seed)
             rng = np.random.default_rng(seed + 100)
             x = rng.normal(size=(5, 16))
-            y, routing = peer_forward(layer, Tensor(x), mode="train", collect_routing=True)
+            y, routing = peer_forward(layer, Tensor(x), mode="train")
             ref_y, ref_idx = dense_reference(layer, x, mode="train")
             assert np.array_equal(routing.indices, ref_idx)
             assert np.max(np.abs(y.data - ref_y)) <= 1e-10
@@ -161,7 +161,7 @@ class TestForward:
             layer = PeerLayer.build(cfg, seed=seed)
             rng = np.random.default_rng(seed)
             x = rng.normal(size=(3, 4))
-            y, routing = peer_forward(layer, Tensor(x), collect_routing=True)
+            y, routing = peer_forward(layer, Tensor(x))
             ref_y, ref_idx = dense_reference(layer, x)
             assert np.array_equal(routing.indices, ref_idx)
             assert np.max(np.abs(y.data - ref_y)) <= 1e-10
@@ -170,14 +170,14 @@ class TestForward:
         cfg = PeerConfig(n_experts=64, heads=3, topk=4, d_model=8, query_dim=8, query_bn=True)
         layer = PeerLayer.build(cfg, seed=2)
         rng = np.random.default_rng(2)
-        _, routing = peer_forward(layer, Tensor(rng.normal(size=(6, 8))), mode="train", collect_routing=True)
+        _, routing = peer_forward(layer, Tensor(rng.normal(size=(6, 8))), mode="train")
         assert np.max(np.abs(routing.weights.sum(axis=-1) - 1.0)) <= 1e-12
 
     def test_active_neurons_per_token(self):
         cfg = PeerConfig(n_experts=64, heads=3, topk=4, d_model=8, query_dim=8, query_bn=False)
         layer = PeerLayer.build(cfg, seed=3)
         rng = np.random.default_rng(3)
-        _, routing = peer_forward(layer, Tensor(rng.normal(size=(5, 8))), collect_routing=True)
+        _, routing = peer_forward(layer, Tensor(rng.normal(size=(5, 8))))
         assert routing.indices.shape == (5, 3, 4)
         assert routing.indices.shape[1] * routing.indices.shape[2] == cfg.granularity
         for t in range(5):
@@ -193,15 +193,12 @@ class TestForward:
         b, _ = peer_forward(layer, Tensor(x), mode="infer")
         assert np.array_equal(a.data, b.data)
 
-    def test_batch_time_input_shape(self):
+    def test_batch_time_input_is_rejected(self):
         cfg = PeerConfig(n_experts=16, heads=1, topk=1, d_model=8, query_dim=4, query_bn=False)
         layer = PeerLayer.build(cfg, seed=0)
-        rng = np.random.default_rng(0)
-        x3 = rng.normal(size=(2, 3, 8))
-        y3, _ = peer_forward(layer, Tensor(x3))
-        y2, _ = peer_forward(layer, Tensor(x3.reshape(6, 8)))
-        assert y3.data.shape == (2, 3, 8)
-        assert np.array_equal(y3.data.reshape(6, 8), y2.data)
+        x3 = np.random.default_rng(0).normal(size=(2, 3, 8))
+        with pytest.raises(ValueError, match=r"token rows \[tokens, d_model\], got shape \(2, 3, 8\)"):
+            peer_forward(layer, Tensor(x3))
 
     def test_bn_train_single_token_errors(self):
         cfg = PeerConfig(n_experts=16, heads=2, topk=1, d_model=8, query_dim=4, query_bn=True)
@@ -214,7 +211,7 @@ class TestForward:
         layer = PeerLayer.build(cfg, seed=5)
         rng = np.random.default_rng(5)
         x = rng.normal(size=4)
-        y, routing = peer_forward(layer, Tensor(x[None, :]), collect_routing=True)
+        y, routing = peer_forward(layer, Tensor(x[None, :]))
         j = routing.indices[0, 0, 0]
         hidden = max(0.0, float(layer.experts.w_down.data[j] @ x)) * float(layer.experts.w_gate.data[j] @ x)
         assert np.allclose(y.data[0], hidden * layer.experts.w_up.data[j], atol=1e-14)
@@ -236,7 +233,7 @@ class TestBackward:
         rng = np.random.default_rng(1)
         x = rng.normal(size=8)
         upstream = rng.normal(size=(1, 8))
-        _, routing = peer_forward(layer, Tensor(x[None, :]), collect_routing=True)
+        _, routing = peer_forward(layer, Tensor(x[None, :]))
         j = routing.indices[0, 0, 0]
         grads, _ = peer_backward(layer, Tensor(x[None, :]), upstream)
         act = max(0.0, float(layer.experts.w_down.data[j] @ x))  # weight g = 1 for topk=1
@@ -247,7 +244,7 @@ class TestBackward:
         layer = PeerLayer.build(cfg, seed=2)
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(size=(5, 8)))
-        _, routing = peer_forward(layer, x, mode="train", collect_routing=True)
+        _, routing = peer_forward(layer, x, mode="train")
         grads, _ = peer_backward(layer, x, rng.normal(size=(5, 8)))
         retrieved = np.unique(routing.indices)
         untouched = np.setdiff1d(np.arange(256), retrieved)
@@ -299,8 +296,8 @@ class TestRecordUsage:
         layer = PeerLayer.build(cfg, seed=6)
         rng = np.random.default_rng(6)
         x = rng.normal(size=8)
-        _, r1 = peer_forward(layer, Tensor(x[None, :]), collect_routing=True)
-        _, r2 = peer_forward(layer, Tensor(np.stack([x, x])), collect_routing=True)
+        _, r1 = peer_forward(layer, Tensor(x[None, :]))
+        _, r2 = peer_forward(layer, Tensor(np.stack([x, x])))
         acc1 = UsageAccumulator.create(16)
         record_usage(r1, acc1)
         acc2 = UsageAccumulator.create(16)
@@ -308,7 +305,12 @@ class TestRecordUsage:
         assert np.allclose(acc2.z_prime, 2.0 * acc1.z_prime)
 
     def test_out_of_range_errors(self):
-        acc = UsageAccumulator.create(4)
-        routing = PeerRouting(indices=np.array([[[7]]]), weights=np.array([[[1.0]]]), n_experts=16)
+        acc = UsageAccumulator.create(16)
+        routing = PeerRouting(indices=np.array([[[17]]]), weights=np.array([[[1.0]]]), n_experts=16)
         with pytest.raises(IndexError):
             record_usage(routing, acc)
+
+    def test_accumulator_of_another_size_rejected(self):
+        routing = PeerRouting(indices=np.array([[[3, 7]]]), weights=np.array([[[0.5, 0.5]]]), n_experts=16)
+        with pytest.raises(ValueError, match="accumulator holds 64 experts, routing echo has 16"):
+            record_usage(routing, UsageAccumulator.create(64))
