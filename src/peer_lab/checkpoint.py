@@ -110,6 +110,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
                 (name_len,) = struct.unpack("<I", f.read(4))
                 offset = _take(offset, name_len, size, "name")
                 name = f.read(name_len).decode("utf-8")
+                if name in tensors:
+                    raise ValueError(f"the name {name!r} is taken by an earlier entry")
                 tensors[name], offset = _read_record(f, offset, size)
             except ValueError as e:
                 label = f"entry {i} of {count}" + ("" if name is None else f" ({name!r})")

@@ -70,6 +70,8 @@ class ModelConfig:
                 f"middle_layer {self.middle_layer!r} needs a {config_cls.__name__}, "
                 f"got a middle_config of type {type(self.middle_config).__name__}"
             )
+        if self.middle_config.d_model != self.d_model:
+            raise ValueError(f"middle_config.d_model {self.middle_config.d_model} != d_model {self.d_model}")
 
     @property
     def middle_index(self) -> int:

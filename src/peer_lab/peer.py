@@ -105,20 +105,20 @@ class PeerLayer(ProductKeyLayer):
 
 
 def peer_forward(layer: PeerLayer, x: Tensor, mode: str = "infer") -> tuple[Tensor, PeerRouting]:
-    """Route every token through its top experts and sum the head outputs.
+    """Route every token through its top experts over all heads.
 
     Each retrieved expert is one hidden neuron: down(x) -> activation
-    (times gate(x) for GLU) -> its score-weighted up row. Returns (y,
-    routing) as `ProductKeyLayer.route` does.
+    (times gate(x) for GLU) -> its score-weighted up row; one gathered sum
+    adds a token's heads*topk up rows. Returns (y, routing) as
+    `ProductKeyLayer.route` does.
     """
     cfg = layer.config
     activation = T.ACTIVATIONS[cfg.activation]
 
     def experts(x: Tensor, idx: np.ndarray, weights: Tensor) -> Tensor:
-        x_rep = T.concat([x] * cfg.heads, axis=0) if cfg.heads > 1 else x
-        act = activation(T.gather_dot(x_rep, layer.experts.w_down, idx))
+        act = activation(T.gather_dot(x, layer.experts.w_down, idx))
         if layer.experts.w_gate is not None:
-            act = T.mul(act, T.gather_dot(x_rep, layer.experts.w_gate, idx))
+            act = T.mul(act, T.gather_dot(x, layer.experts.w_gate, idx))
         return T.gather_weighted_sum(T.mul(weights, act), layer.experts.w_up, idx)
 
     return layer.route(x, mode, experts)

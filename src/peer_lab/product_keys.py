@@ -306,14 +306,15 @@ class ProductKeyLayer:
         return {f"{self.prefix}.bn.mean": self.bn.running_mean, f"{self.prefix}.bn.var": self.bn.running_var}
 
     def route(self, x: Tensor, mode: str, payload) -> tuple[Tensor, PeerRouting]:
-        """Retrieve every token's top keys per head and sum the heads' payloads.
+        """Retrieve every token's top keys per head and read their payloads.
 
-        `payload(x, idx, weights)` gets the token rows x [m, d_model], the
-        retrieved ids idx [heads*m, topk] (head-major) and their normalized
-        scores, and returns [heads*m, d_model]. Returns (y [m, d_model],
-        routing echo). Differentiable end to end except the top-k selection
-        itself: gradients flow through the selected scores and the rows the
-        payload reads only.
+        Queries are token-major rows [m*heads, query_dim], row t*heads + h
+        being head h of token t. `payload(x, idx, weights)` gets the token
+        rows x [m, d_model] and each token's ids and normalized scores over
+        all heads, [m, heads*topk] each, and returns y [m, d_model]. Returns
+        (y, routing echo). Differentiable end to end except the top-k
+        selection itself: gradients flow through the selected scores and the
+        rows the payload reads only.
         """
         cfg = self.config
         if mode not in ("train", "infer"):
@@ -326,14 +327,13 @@ class ProductKeyLayer:
         if mode == "train" and cfg.query_bn and m < 2:
             raise ValueError("train mode with query batch norm needs at least 2 tokens")
 
-        # Queries for every head stacked head-major [heads*m, d], then one shared
-        # feature-wise BN over all of them (applied before the half split).
-        q_heads = [T.matmul(x, w) for w in self.query_nets]
-        q_all = T.concat(q_heads, axis=0) if cfg.heads > 1 else q_heads[0]
+        # Every head's query in one product, then one shared feature-wise BN
+        # over all (token, head) rows (applied before the half split).
+        q_all = T.reshape(T.matmul(x, T.concat(self.query_nets, axis=1)), (m * cfg.heads, cfg.query_dim))
         if self.bn is not None:
             q_all = T.batch_norm(q_all, self.bn, mode)
 
-        # One retrieval for all heads x tokens; selection is not differentiated.
+        # One retrieval for all tokens x heads; selection is not differentiated.
         sqrt_n = self.index.sqrt_n
         half = cfg.query_dim // 2
         idx, _raw = retrieve_topk_batch(self.index, q_all.data, cfg.topk)
@@ -347,14 +347,7 @@ class ProductKeyLayer:
 
         # softmax normalizes over the k retrieved scores within each head
         weights = T.softmax(scores) if cfg.score_norm == "softmax_per_head" else T.sigmoid(scores)
-        y_flat = payload(x, idx, weights)
-
-        y = T.row_slice(y_flat, 0, m) if cfg.heads > 1 else y_flat
-        for h in range(1, cfg.heads):
-            y = T.add(y, T.row_slice(y_flat, h * m, (h + 1) * m))
-
-        return y, PeerRouting(
-            indices=idx.reshape(cfg.heads, m, cfg.topk).transpose(1, 0, 2).copy(),
-            weights=weights.data.reshape(cfg.heads, m, cfg.topk).transpose(1, 0, 2).copy(),
-            n_experts=cfg.n_keys,
-        )
+        k = cfg.heads * cfg.topk
+        y = payload(x, idx.reshape(m, k), T.reshape(weights, (m, k)))
+        echo = (m, cfg.heads, cfg.topk)
+        return y, PeerRouting(indices=idx.reshape(echo), weights=weights.data.reshape(echo), n_experts=cfg.n_keys)

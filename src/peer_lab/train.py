@@ -39,6 +39,18 @@ class TrainConfig:
     checkpoint_interval: int = 0  # 0: checkpoint only at the end
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.eps > 0.0:
+            raise ValueError(f"eps must be > 0, got {self.eps}")
+        if not self.lr >= 0.0:
+            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        for name, low in (("batch", 1), ("warmup", 0), ("checkpoint_interval", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+
 
 @dataclass
 class RowMoments:
@@ -300,12 +312,19 @@ def load_train_checkpoint(source, model: Model) -> TrainState:
 
     `source` is a checkpoint path or the entries `load_checkpoint` read from
     one. Each parameter's live rows are the rows of its stored moments with
-    any bit set.
+    any bit set. An entry the model does not read (other than `meta.*`) is
+    an error: the file was saved from another model.
     """
     tensors = source if isinstance(source, dict) else load_checkpoint(source)
+    params = model.named_parameters()
+    read = {*params, *model.named_state(), "train.step", "train.running_loss", "train.rng"}
+    read.update(f"opt.{s}.{name}" for name in params for s in "mv")
+    unread = sorted(name for name in tensors if name not in read and not name.startswith("meta."))
+    if unread:
+        raise ValueError(f"checkpoint has {len(unread)} entries the model does not read: {unread}")
     model.load_tensors(tensors)
     held = {}
-    for name, p in model.named_parameters().items():
+    for name, p in params.items():
         m = checked_entry(tensors, f"opt.m.{name}", p.data.shape).astype(p.data.dtype, copy=False)
         v = checked_entry(tensors, f"opt.v.{name}", p.data.shape).astype(p.data.dtype, copy=False)
         ids = np.union1d(_nonzero_rows(m), _nonzero_rows(v))

@@ -180,6 +180,13 @@ class TestDamagedFiles:
         with pytest.raises(ValueError, match=rf"entry 1 of 3 \('train.step'\), starting at byte \d+: unknown tensor dtype tag 9 at byte {record}"):
             load_checkpoint(path)
 
+    def test_repeated_name_raises(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, {"a": np.zeros(2), "b": np.ones(2)})
+        path.write_bytes(path.read_bytes().replace(b"\x01\x00\x00\x00b", b"\x01\x00\x00\x00a"))  # rename entry b
+        with pytest.raises(ValueError, match=r"entry 1 of 2 \('a'\), starting at byte \d+: the name 'a' is taken by an earlier entry"):
+            load_checkpoint(path)
+
     def test_trailing_byte_raises(self, tmp_path):
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, self.TENSORS)

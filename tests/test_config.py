@@ -114,6 +114,27 @@ class TestConfig:
         read.update({f"train.{f.name}": getattr(tc, f.name) for f in fields(tc)})
         assert {key: read.get(key) for key in NON_DEFAULT} == NON_DEFAULT
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("beta1", -0.1),
+            ("beta1", 1.0),
+            ("beta2", 1.0),
+            ("beta2", -0.5),
+            ("eps", 0.0),
+            ("lr", -1e-3),
+            ("batch", 0),
+            ("warmup", -1),
+            ("checkpoint_interval", -4),
+        ],
+    )
+    def test_train_config_rejects_a_value_no_run_can_use(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            TrainConfig(**{field: value})
+
+    def test_train_config_allows_zero_lr(self):
+        assert TrainConfig(lr=0.0).lr == 0.0
+
     def test_middle_fields_outside_the_schema_take_the_model_dims(self):
         cfg = {**default_config(), "model.activation": "relu"}
         for kind, (config_cls, _) in MIDDLE_LAYERS.items():

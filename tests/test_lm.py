@@ -16,6 +16,7 @@ from peer_lab.train import (
     TrainConfig,
     TrainingDiverged,
     evaluate_perplexity,
+    init_train_state,
     load_train_checkpoint,
     save_train_checkpoint,
     train,
@@ -103,6 +104,10 @@ class TestBuildModel:
         with pytest.raises(ValueError, match="'pkm' needs a PkmConfig, got a middle_config of type DenseConfig"):
             tiny_config("pkm", middle_config=DenseConfig(d_model=16, d_ff=32))
 
+    def test_middle_config_of_another_width_rejected(self):
+        with pytest.raises(ValueError, match=r"middle_config\.d_model 64 != d_model 16"):
+            tiny_config("peer", middle_config=PeerConfig(n_experts=64, heads=2, topk=2, d_model=64, query_dim=8))
+
     def test_bad_vocab_rejected(self):
         with pytest.raises(ValueError):
             ModelConfig(n_blocks=1, d_model=16, n_attn_heads=2, d_ff=32, seq_len=8, vocab=1000)
@@ -153,13 +158,42 @@ class TestForward:
             assert routing.indices.shape == routing.weights.shape == (16, 2, 2)
             assert routing.n_experts == 64
 
-    @pytest.mark.parametrize("middle,nodes", [("peer", 60), ("pkm", 56)])
+    @pytest.mark.parametrize("middle,nodes", [("peer", 51), ("pkm", 48), ("dense", 39), ("moe", 70)])
     def test_desk_loss_forward_tape_nodes(self, middle, nodes):
         model = build_model(model_config_from_flat({**default_config(), "model.middle_layer": middle}))
         tokens = np.random.default_rng(0).integers(0, 256, size=(2, 8))
         with T.Tape() as tape:
             model.loss(tokens[:, :-1], tokens[:, 1:])
         assert len(tape) == nodes
+
+    @pytest.mark.parametrize(
+        "middle",
+        [
+            "dense",
+            "pkm",
+            "peer",
+            pytest.param(
+                "moe",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="expert choice gives each expert its top-capacity tokens over the whole window, so later tokens decide which earlier ones are picked",
+                ),
+            ),
+        ],
+    )
+    def test_later_tokens_leave_earlier_logits_bitwise_unchanged(self, middle):
+        for seed in (0, 1):
+            model = build_model(model_config_from_flat({**default_config(), "model.middle_layer": middle, "model.seq_len": 64, "model.seed": seed}))
+            rng = np.random.default_rng(seed)
+            for p in model.named_parameters().values():  # move the zero-initialized output maps off zero
+                p.data += rng.normal(0.0, 0.1, p.data.shape).astype(p.data.dtype)
+            tokens = rng.integers(0, 256, size=(1, 64))
+            ref, _ = model.forward(tokens, mode="infer")
+            for j in (1, 17, 40, 63):
+                changed = tokens.copy()
+                changed[:, j:] = rng.integers(0, 256, size=(1, 64 - j))
+                logits, _ = model.forward(changed, mode="infer")
+                assert logits.data[:j].tobytes() == ref.data[:j].tobytes(), f"seed {seed}, j {j}"
 
     def test_sequence_too_long_errors(self):
         model = build_model(tiny_config())
@@ -311,6 +345,11 @@ class TestCheckpointEntries:
         with pytest.raises(ValueError, match="missing tensor 'opt.v.lm_head'"):
             load_train_checkpoint(tmp_path / "bad.bin", build_model(tiny_config("peer")))
 
+    def test_entries_the_model_does_not_read_raise(self, tmp_path):
+        deeper = build_model(tiny_config("peer", n_blocks=3))
+        save_train_checkpoint(tmp_path / "deep.bin", deeper, init_train_state(deeper, TrainConfig()), config_text="model.n_blocks=3\n")
+        with pytest.raises(ValueError, match=r"checkpoint has 30 entries the model does not read: \['block2\.attn\.wk', .*'opt\.v\.block2\.ln2\.shift'\]$"):
+            load_train_checkpoint(tmp_path / "deep.bin", build_model(tiny_config("peer")))
 
     def test_missing_step_raises(self, saved, tmp_path):
         del saved["train.step"]
