@@ -23,12 +23,12 @@ from .peer import (
 from .baselines import (
     DenseConfig,
     DenseFFW,
-    ExpertChoiceMoE,
     MoeConfig,
+    MoeLayer,
     PkmConfig,
     PkmLayer,
     dense_forward,
-    expert_choice_forward,
+    moe_forward,
     pkm_forward,
 )
 from .analysis import (
@@ -67,12 +67,12 @@ __all__ = [
     "record_usage",
     "DenseConfig",
     "DenseFFW",
-    "ExpertChoiceMoE",
     "MoeConfig",
+    "MoeLayer",
     "PkmConfig",
     "PkmLayer",
     "dense_forward",
-    "expert_choice_forward",
+    "moe_forward",
     "pkm_forward",
     "ParamCounts",
     "ScalingLawParams",

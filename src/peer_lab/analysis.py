@@ -59,8 +59,8 @@ def measured_mac_per_token(layer, n_tokens: int = 64, seed: int = 0) -> int:
     """Instrument a live forward pass and return its exact MACs per token.
 
     Counts what actually executes (projections, retrieval, expert/value
-    contractions); must equal mac_per_token for the layer's config whenever
-    the token count divides the work evenly.
+    contractions); must equal mac_per_token for the layer's config at any
+    token count.
     """
     d_model = layer.config.d_model
     rng = np.random.default_rng(seed)

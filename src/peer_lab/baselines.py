@@ -1,6 +1,6 @@
 """Comparison layers behind the same feedforward-replacement interface:
 a dense FFW, a product-key memory (constant payloads), and a desk-scale
-expert-choice mixture of full-size experts.
+token-choice mixture of full-size experts.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import numpy as np
 
 from . import tensor as T
 from .analysis import ParamCounts
-from .config import ACTIVATIONS, check_choice
+from .config import ACTIVATIONS, check_choice, check_sizes
 # retrieve_topk_batch is not called here; it stays bound in this module,
 # where tools that time the layers (perfbench/spans.py) look for it.
 from .product_keys import (  # noqa: F401
@@ -37,6 +37,7 @@ class DenseConfig:
     activation: str = "gelu"
 
     def __post_init__(self):
+        check_sizes(self, "d_model", "d_ff")
         check_choice("activation", self.activation, ACTIVATIONS)
 
     def mac_per_token(self) -> int:
@@ -136,7 +137,7 @@ def pkm_forward(layer: PkmLayer, x: Tensor, mode: str = "infer") -> tuple[Tensor
 
 
 # ---------------------------------------------------------------------------
-# Expert-choice MoE (small number of full-size experts)
+# Token-choice MoE (small number of full-size experts)
 # ---------------------------------------------------------------------------
 
 
@@ -145,14 +146,13 @@ class MoeConfig:
     n_experts: int = 4
     d_model: int = 64
     d_ff: int = 256
-    granularity: int = 2  # average active experts per token, sets capacity
+    granularity: int = 2  # experts each token picks
     activation: str = "gelu"
 
     def __post_init__(self):
-        if self.n_experts < 1:
-            raise ValueError(f"n_experts must be >= 1, got {self.n_experts}")
-        if self.granularity < 1:
-            raise ValueError(f"granularity must be >= 1, got {self.granularity}")
+        check_sizes(self, "n_experts", "d_model", "d_ff", "granularity")
+        if self.granularity > self.n_experts:
+            raise ValueError(f"granularity must be <= n_experts={self.n_experts}, got {self.granularity}")
         check_choice("activation", self.activation, ACTIVATIONS)
 
     def mac_per_token(self) -> int:
@@ -164,8 +164,8 @@ class MoeConfig:
         return ParamCounts(total=total, active=self.granularity * expert, expert=expert, granularity=float(self.granularity))
 
 
-class ExpertChoiceMoE:
-    """Each expert picks its own top-capacity tokens, so load is balanced."""
+class MoeLayer:
+    """A softmax gate over full-size dense experts; each token runs through its top-`granularity`."""
 
     def __init__(self, config: MoeConfig, gate: Tensor, experts: list[DenseFFW]):
         self.config = config
@@ -173,15 +173,12 @@ class ExpertChoiceMoE:
         self.experts = experts
 
     @classmethod
-    def build(cls, config: MoeConfig, seed: int = 0, dtype=np.float64) -> "ExpertChoiceMoE":
+    def build(cls, config: MoeConfig, seed: int = 0, dtype=np.float64) -> "MoeLayer":
         rng = np.random.default_rng(seed)
         gate = Tensor(rng.normal(0.0, 1.0 / math.sqrt(config.d_model), size=(config.d_model, config.n_experts)).astype(dtype), requires_grad=True)
         expert_cfg = DenseConfig(d_model=config.d_model, d_ff=config.d_ff, activation=config.activation)
         experts = [DenseFFW.build(expert_cfg, seed=seed + 1 + e, dtype=dtype, prefix=f"moe.expert{e}") for e in range(config.n_experts)]
         return cls(config, gate, experts)
-
-    def capacity(self, n_tokens: int) -> int:
-        return math.ceil(n_tokens * self.config.granularity / self.config.n_experts)
 
     def named_parameters(self) -> dict[str, Tensor]:
         params = {"moe.gate": self.gate}
@@ -193,29 +190,22 @@ class ExpertChoiceMoE:
         return {}
 
     def forward(self, x: Tensor, mode: str = "infer"):
-        return expert_choice_forward(self, x), None
+        return moe_forward(self, x), None
 
 
-def expert_choice_forward(layer: ExpertChoiceMoE, x: Tensor, capacity: int | None = None) -> Tensor:
-    """Gate scores are softmaxed over experts per token; every expert then
-    independently processes its top-capacity tokens (ties to the lower token
-    index). Tokens picked by nobody contribute zeros.
+def moe_forward(layer: MoeLayer, x: Tensor) -> Tensor:
+    """Gate scores are softmaxed over experts per token, and each token picks
+    its top-`granularity` experts (ties to the lower expert id). Each expert
+    runs on exactly the tokens that picked it, and a token's output is the
+    sum of its experts' outputs weighted by their scores, so it depends on
+    no other token.
     """
-    m = x.data.shape[0]
-    if m < 1:
-        raise ValueError("expert_choice_forward needs at least one token")
-    c = layer.capacity(m) if capacity is None else capacity
-    if c < 1:
-        raise ValueError(f"capacity must be >= 1, got {c}")
-    c = min(c, m)
-
     scores = T.softmax(T.matmul(x, layer.gate))  # [m, n_experts]
+    picks, _ = T.top_k(scores, layer.config.granularity)  # [m, granularity]
     y = Tensor(np.zeros_like(x.data))  # zero base carried through scatter adds
     for e, expert in enumerate(layer.experts):
-        col = scores.data[:, e]
-        token_idx, _ = T.top_k(col, c)
-        picked_x = T.gather_rows(x, token_idx)
-        out = dense_forward(expert, picked_x)
-        picked_scores = T.gather_rows(T.col_slice(scores, e, e + 1), token_idx)  # [c, 1]
+        token_idx = np.flatnonzero((picks == e).any(axis=1))
+        out = dense_forward(expert, T.gather_rows(x, token_idx))
+        picked_scores = T.gather_rows(T.col_slice(scores, e, e + 1), token_idx)  # [tokens, 1]
         y = T.scatter_rows_add(y, token_idx, T.mul(out, picked_scores))
     return y

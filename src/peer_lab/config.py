@@ -13,12 +13,21 @@ from typing import Any, Callable
 
 ACTIVATIONS = ("relu", "gelu")  # the activations a feedforward layer may be configured with
 DTYPES = ("float32", "float64")
+SCORE_NORMS = ("softmax_per_head", "sigmoid")  # how a product-key router normalizes its retrieved scores
 
 
 def check_choice(field: str, value, options: tuple) -> None:
     """ValueError naming `field` unless `value` is one of `options`."""
     if value not in options:
         raise ValueError(f"{field} must be one of {options}, got {value!r}")
+
+
+def check_sizes(config, *fields: str) -> None:
+    """ValueError naming the first of `fields` of `config` that is below 1."""
+    for field in fields:
+        value = getattr(config, field)
+        if value < 1:
+            raise ValueError(f"{field} must be >= 1, got {value}")
 
 
 def _bool(s: str) -> bool:
@@ -64,14 +73,14 @@ SCHEMA: dict[str, tuple[Callable[[str], Any], Any]] = {
     "peer.topk": (int, 4),
     "peer.query_dim": (int, 128),
     "peer.activation": (_choice(*ACTIVATIONS), "gelu"),
-    "peer.score_norm": (_choice("softmax_per_head", "sigmoid"), "softmax_per_head"),
+    "peer.score_norm": (_choice(*SCORE_NORMS), "softmax_per_head"),
     "peer.query_bn": (_bool, True),
     "peer.glu": (_bool, False),
     "pkm.n_memories": (int, 4096),
     "pkm.heads": (int, 4),
     "pkm.topk": (int, 4),
     "pkm.query_dim": (int, 128),
-    "pkm.score_norm": (_choice("softmax_per_head", "sigmoid"), "softmax_per_head"),
+    "pkm.score_norm": (_choice(*SCORE_NORMS), "softmax_per_head"),
     "pkm.query_bn": (_bool, True),
     "moe.n_experts": (int, 4),
     "moe.d_ff": (int, 256),

@@ -15,9 +15,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensor as T
-from .baselines import DenseConfig, DenseFFW, ExpertChoiceMoE, MoeConfig, PkmConfig, PkmLayer
+from .baselines import DenseConfig, DenseFFW, MoeConfig, MoeLayer, PkmConfig, PkmLayer
 from .checkpoint import checked_entry
-from .config import ACTIVATIONS, DTYPES, check_choice, dataclass_from_flat
+from .config import ACTIVATIONS, DTYPES, check_choice, check_sizes, dataclass_from_flat
 from .peer import PeerConfig, PeerLayer
 from .tensor import Tensor
 
@@ -33,7 +33,7 @@ MIDDLE_LAYERS = {
     "dense": (DenseConfig, DenseFFW),
     "pkm": (PkmConfig, PkmLayer),
     "peer": (PeerConfig, PeerLayer),
-    "moe": (MoeConfig, ExpertChoiceMoE),
+    "moe": (MoeConfig, MoeLayer),
 }
 
 
@@ -52,8 +52,7 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        if self.n_blocks < 1:
-            raise ValueError(f"n_blocks must be >= 1, got {self.n_blocks}")
+        check_sizes(self, "n_blocks", "d_model", "n_attn_heads", "d_ff", "seq_len")
         if self.d_model % self.n_attn_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_attn_heads {self.n_attn_heads}")
         check_choice("middle_layer", self.middle_layer, tuple(MIDDLE_LAYERS))

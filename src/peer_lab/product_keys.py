@@ -24,10 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .config import check_choice
+from .config import SCORE_NORMS, check_choice, check_sizes
 from .tensor import BNState, Tensor, count_macs, top_k
-
-SCORE_NORMS = ("softmax_per_head", "sigmoid")
 
 
 @dataclass
@@ -231,13 +229,12 @@ class RouterConfig:
         return getattr(self, self.keys_field)
 
     def __post_init__(self):
+        check_sizes(self, self.keys_field, "heads", "d_model", "query_dim")
         sqrt_n = math.isqrt(int(self.n_keys))
         if sqrt_n * sqrt_n != self.n_keys:
             raise ValueError(f"{self.keys_field} must be a perfect square, got {self.n_keys}")
         if not 1 <= self.topk <= sqrt_n:
             raise ValueError(f"topk must be in [1, sqrt({self.keys_field})={sqrt_n}], got {self.topk}")
-        if self.heads < 1:
-            raise ValueError(f"heads must be >= 1, got {self.heads}")
         if self.query_dim % 2 != 0:
             raise ValueError(f"query_dim must be even, got {self.query_dim}")
         check_choice("score_norm", self.score_norm, SCORE_NORMS)

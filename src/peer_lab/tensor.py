@@ -282,7 +282,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}")
     count_macs(a.data.shape[0] * a.data.shape[1] * b.data.shape[1])
-    out = Tensor(a.data @ b.data)
+    # BLAS sends one row to a matrix-vector kernel that rounds otherwise; the
+    # row stacked twice takes the matrix-matrix path of a taller a
+    rows = np.concatenate([a.data, a.data]) if a.data.shape[0] == 1 else a.data
+    out = Tensor((rows @ b.data)[: a.data.shape[0]])
 
     def backward(g):
         if a.requires_grad:

@@ -14,7 +14,7 @@ from peer_lab.analysis import (
     model_param_macs_per_token,
     param_counts,
 )
-from peer_lab.baselines import DenseConfig, DenseFFW, ExpertChoiceMoE, MoeConfig, PkmConfig, PkmLayer
+from peer_lab.baselines import DenseConfig, DenseFFW, MoeConfig, MoeLayer, PkmConfig, PkmLayer
 from peer_lab.model import Model, ModelConfig
 from peer_lab.peer import PeerConfig, PeerLayer
 from peer_lab.tensor import MacMeter
@@ -55,7 +55,7 @@ class TestParamCounts:
 
     def test_moe_total_enumerates_every_tensor(self):
         cfg = MoeConfig(n_experts=3, d_model=8, d_ff=16, granularity=2)
-        layer = ExpertChoiceMoE.build(cfg, seed=0)
+        layer = MoeLayer.build(cfg, seed=0)
         serialized = sum(p.data.size for p in layer.named_parameters().values())
         assert param_counts(cfg).total == serialized
         assert param_counts(cfg).granularity == 2.0
@@ -82,11 +82,12 @@ class TestMacPerToken:
         (PeerLayer.build, PeerConfig(n_experts=64, heads=2, topk=2, d_model=8, query_dim=4, query_bn=True)),
         (PeerLayer.build, PeerConfig(n_experts=256, heads=3, topk=5, d_model=16, query_dim=8, glu=True, query_bn=False)),
         (PkmLayer.build, PkmConfig(n_memories=64, heads=2, topk=2, d_model=8, query_dim=4)),
-        (ExpertChoiceMoE.build, MoeConfig(n_experts=4, d_model=8, d_ff=16, granularity=2)),
+        (MoeLayer.build, MoeConfig(n_experts=4, d_model=8, d_ff=16, granularity=2)),
     ])
     def test_formula_equals_live_instrumented_count(self, build, cfg):
         layer = build(cfg, seed=0)
-        assert measured_mac_per_token(layer, n_tokens=64) == mac_per_token(cfg)
+        for n_tokens in (7, 10, 64):  # exact per token at counts that split unevenly over experts too
+            assert measured_mac_per_token(layer, n_tokens=n_tokens) == mac_per_token(cfg), n_tokens
 
     def test_model_level_accounting_sequence_independent(self):
         a = ModelConfig(n_blocks=2, d_model=16, n_attn_heads=2, d_ff=32, seq_len=32)

@@ -3,17 +3,18 @@ import dataclasses
 import numpy as np
 import pytest
 
+from peer_lab import baselines
 from peer_lab import tensor as T
 from peer_lab.analysis import measured_mac_per_token
 from peer_lab.baselines import (
     DenseConfig,
     DenseFFW,
-    ExpertChoiceMoE,
     MoeConfig,
+    MoeLayer,
     PkmConfig,
     PkmLayer,
     dense_forward,
-    expert_choice_forward,
+    moe_forward,
     pkm_forward,
 )
 from peer_lab.peer import PeerConfig, PeerLayer, assemble_dense_equivalent, peer_forward
@@ -185,72 +186,98 @@ class TestPkm:
         assert max(errors.values()) <= 1e-3
 
 
+def _softmax_rows(z):
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 class TestExpertChoice:
+    """The token-choice MoE: each token runs through its own top-g experts."""
+
     def test_single_expert_full_capacity(self):
         cfg = MoeConfig(n_experts=1, d_model=4, d_ff=8, granularity=1)
-        layer = ExpertChoiceMoE.build(cfg, seed=0)
+        layer = MoeLayer.build(cfg, seed=0)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(5, 4))
-        y = expert_choice_forward(layer, Tensor(x), capacity=5)
+        y = moe_forward(layer, Tensor(x))
         expert_out = dense_forward(layer.experts[0], Tensor(x))
         assert np.max(np.abs(y.data - expert_out.data)) <= 1e-12  # softmax over 1 expert = 1
 
     def test_hand_assignment_matches_brute_force(self):
         cfg = MoeConfig(n_experts=2, d_model=2, d_ff=4, granularity=1)
-        layer = ExpertChoiceMoE.build(cfg, seed=1)
+        layer = MoeLayer.build(cfg, seed=1)
         layer.gate.data = np.eye(2)
-        x = np.array([[10.0, 0.0], [0.0, 10.0]])
-        y = expert_choice_forward(layer, Tensor(x), capacity=1)
-        # brute force: scores softmax rows; expert e takes its top-1 token
-        e = np.exp(x @ np.eye(2))
-        s = e / e.sum(axis=1, keepdims=True)
-        expected = np.zeros((2, 2))
-        for ei in range(2):
-            t = int(np.argmax(s[:, ei]))
-            out = dense_forward(layer.experts[ei], Tensor(x[t][None, :])).data[0]
-            expected[t] += s[t, ei] * out
+        # tokens 0 and 2 lean to expert 0, token 1 to expert 1, token 3 ties
+        x = np.array([[10.0, 0.0], [0.0, 10.0], [3.0, 1.0], [2.0, 2.0]])
+        y = moe_forward(layer, Tensor(x))
+        s = _softmax_rows(x)
+        expected = np.zeros((4, 2))
+        for t, e in enumerate([0, 1, 0, 0]):  # the tie goes to the lower expert id
+            expected[t] = s[t, e] * dense_forward(layer.experts[e], Tensor(x[t : t + 1])).data[0]
         assert np.allclose(y.data, expected, atol=1e-12)
 
-    def test_capacity_invariant_exact_tokens_per_expert(self):
+    def test_each_expert_runs_on_exactly_the_tokens_that_picked_it(self, monkeypatch):
         cfg = MoeConfig(n_experts=4, d_model=4, d_ff=8, granularity=2)
-        layer = ExpertChoiceMoE.build(cfg, seed=2)
-        m = 10
-        assert layer.capacity(m) == 5  # ceil(10 * 2 / 4)
-        rng = np.random.default_rng(2)
-        x = Tensor(rng.normal(size=(m, 4)))
+        layer = MoeLayer.build(cfg, seed=2)
+        m = 10  # 20 picks do not split evenly over 4 experts
+        x = np.random.default_rng(2).normal(size=(m, 4))
+        seen = {}
+
+        def spy(expert, rows):
+            seen[expert.prefix] = rows.data.copy()
+            return dense_forward(expert, rows)
+
+        monkeypatch.setattr(baselines, "dense_forward", spy)
         with MacMeter() as meter:
-            expert_choice_forward(layer, x)
-        # gate matmul + exactly min(c, m) tokens through each expert
-        expected = m * 4 * 4 + 4 * 5 * (2 * 4 * 8)
-        assert meter.total == expected
+            moe_forward(layer, Tensor(x))
+        picks = np.argsort(-_softmax_rows(x @ layer.gate.data), axis=1, kind="stable")[:, :2]
+        loads = []
+        for e in range(4):
+            picked = (picks == e).any(axis=1)
+            assert np.array_equal(seen[f"moe.expert{e}"], x[picked]), e
+            loads.append(int(picked.sum()))
+        assert len(set(loads)) > 1  # the experts' loads are uneven
+        # gate matmul + exactly granularity experts per token
+        assert meter.total == m * 4 * 4 + m * 2 * (2 * 4 * 8) == m * cfg.mac_per_token()
 
-    def test_unselected_tokens_pass_through_as_zero(self):
-        cfg = MoeConfig(n_experts=1, d_model=4, d_ff=8, granularity=1)
-        layer = ExpertChoiceMoE.build(cfg, seed=3)
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(6, 4))
-        y = expert_choice_forward(layer, Tensor(x), capacity=2)
-        scores = np.exp(x @ layer.gate.data)
-        picked = set(np.argsort(-(scores / scores.sum(axis=1, keepdims=True))[:, 0], kind="stable")[:2].tolist())
-        for t in range(6):
-            if t not in picked:
-                assert np.all(y.data[t] == 0.0)
+    def test_each_token_is_the_sum_of_its_own_experts_alone(self):
+        cfg = MoeConfig(n_experts=5, d_model=6, d_ff=8, granularity=3)
+        layer = MoeLayer.build(cfg, seed=5)
+        x = np.random.default_rng(5).normal(size=(9, 6))
+        y = moe_forward(layer, Tensor(x))
+        s = _softmax_rows(x @ layer.gate.data)
+        for t in range(9):
+            expected = np.zeros(6)
+            for e in np.argsort(-s[t], kind="stable")[:3]:
+                expected += s[t, e] * dense_forward(layer.experts[e], Tensor(x[t : t + 1])).data[0]
+            assert np.allclose(y.data[t], expected, rtol=0, atol=1e-14), t
 
-    def test_capacity_below_one_errors(self):
-        cfg = MoeConfig(n_experts=2, d_model=4, d_ff=8, granularity=1)
-        layer = ExpertChoiceMoE.build(cfg, seed=0)
-        with pytest.raises(ValueError):
-            expert_choice_forward(layer, Tensor(np.zeros((2, 4))), capacity=0)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_lone_token_gets_the_bits_it_gets_beside_another(self, dtype):
+        cfg = MoeConfig(n_experts=2, d_model=64, d_ff=256, granularity=1)
+        layer = MoeLayer.build(cfg, seed=6, dtype=dtype)
+        gate = np.zeros((64, 2), dtype=dtype)
+        gate[0] = [1.0, -1.0]  # the sign of feature 0 picks the expert
+        layer.gate.data = gate
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(2, 64)).astype(dtype)
+        x[0, 0], x[1, 0] = 1.0, -1.0  # token 0 alone in expert 0
+        shared = x.copy()
+        shared[1, 0] = 2.0  # token 1 joins token 0 in expert 0
+        alone = moe_forward(layer, Tensor(x)).data
+        beside = moe_forward(layer, Tensor(shared)).data
+        assert alone[0].tobytes() == beside[0].tobytes()
+        assert alone[1].tobytes() != beside[1].tobytes()
 
     def test_grad_check(self):
         cfg = MoeConfig(n_experts=3, d_model=4, d_ff=6, granularity=2, activation="gelu")
-        layer = ExpertChoiceMoE.build(cfg, seed=4)
+        layer = MoeLayer.build(cfg, seed=4)
         rng = np.random.default_rng(4)
         x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(5, 4)))
 
         def f():
-            return T.sum_all(T.mul(expert_choice_forward(layer, x), w))
+            return T.sum_all(T.mul(moe_forward(layer, x), w))
 
         params = dict(layer.named_parameters())
         params["x"] = x
@@ -267,6 +294,11 @@ class TestConfigs:
         with pytest.raises(ValueError, match="activation must be one of"):
             MoeConfig(activation="sigmoid")
 
+    def test_moe_granularity_above_n_experts_fails_by_name(self):
+        with pytest.raises(ValueError, match=r"^granularity must be <= n_experts=2, got 3$"):
+            MoeConfig(n_experts=2, granularity=3)
+        assert MoeConfig(n_experts=2, granularity=2).granularity == 2
+
     def test_router_fields_declared_once(self):
         shared = {"heads": 4, "topk": 4, "d_model": 64, "query_dim": 128, "score_norm": "softmax_per_head", "query_bn": True}
         assert {f.name: f.default for f in dataclasses.fields(RouterConfig)} == shared
@@ -281,7 +313,7 @@ class TestCommonInterface:
         lambda: DenseFFW.build(DenseConfig(d_model=8, d_ff=16), seed=0),
         lambda: PkmLayer.build(PkmConfig(n_memories=16, heads=2, topk=2, d_model=8, query_dim=4), seed=0),
         lambda: PeerLayer.build(PeerConfig(n_experts=16, heads=2, topk=2, d_model=8, query_dim=4), seed=0),
-        lambda: ExpertChoiceMoE.build(MoeConfig(n_experts=2, d_model=8, d_ff=16), seed=0),
+        lambda: MoeLayer.build(MoeConfig(n_experts=2, d_model=8, d_ff=16), seed=0),
     ])
     def test_shape_preserved_and_finite(self, build):
         layer = build()

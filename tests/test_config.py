@@ -3,9 +3,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from peer_lab.config import SCHEMA, dataclass_from_flat, default_config, format_config, parse_config
+from peer_lab.baselines import DenseConfig, MoeConfig, PkmConfig
+from peer_lab.config import SCHEMA, SCORE_NORMS, dataclass_from_flat, default_config, format_config, parse_config
 from peer_lab.data import _WORDS, Corpus, synthetic_text
-from peer_lab.model import MIDDLE_LAYERS, model_config_from_flat
+from peer_lab.model import MIDDLE_LAYERS, ModelConfig, model_config_from_flat
+from peer_lab.peer import PeerConfig
 from peer_lab.train import TrainConfig
 
 # a valid value other than the default for every key a layer or training run reads
@@ -102,6 +104,9 @@ class TestConfig:
     def test_middle_layer_choices_are_the_kind_table(self):
         assert SCHEMA["model.middle_layer"][0].options == tuple(MIDDLE_LAYERS)
 
+    def test_score_norm_choices_are_the_one_tuple(self):
+        assert SCHEMA["peer.score_norm"][0].options == SCHEMA["pkm.score_norm"][0].options == SCORE_NORMS
+
     def test_every_layer_and_train_key_is_read_into_a_field(self):
         assert set(NON_DEFAULT) == {key for key in SCHEMA if key.split(".")[0] in ("peer", "pkm", "moe", "train")}
         assert all(value != SCHEMA[key][1] for key, value in NON_DEFAULT.items())
@@ -134,6 +139,28 @@ class TestConfig:
 
     def test_train_config_allows_zero_lr(self):
         assert TrainConfig(lr=0.0).lr == 0.0
+
+    @pytest.mark.parametrize(
+        "cls,field,value",
+        [
+            (ModelConfig, "d_model", 0),
+            (ModelConfig, "n_attn_heads", 0),
+            (ModelConfig, "d_ff", 0),
+            (ModelConfig, "seq_len", 0),
+            (PeerConfig, "n_experts", 0),
+            (PeerConfig, "d_model", 0),
+            (PeerConfig, "query_dim", 0),
+            (PeerConfig, "query_dim", -2),
+            (PkmConfig, "n_memories", 0),
+            (MoeConfig, "d_model", 0),
+            (MoeConfig, "d_ff", 0),
+            (DenseConfig, "d_model", 0),
+            (DenseConfig, "d_ff", -1),
+        ],
+    )
+    def test_size_field_below_one_fails_by_name(self, cls, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be >= 1, got {value}$"):
+            cls(**{field: value})
 
     def test_middle_fields_outside_the_schema_take_the_model_dims(self):
         cfg = {**default_config(), "model.activation": "relu"}

@@ -46,6 +46,18 @@ class TestMatmul:
         assert np.allclose(a.grad, g @ b.data.T)
         assert np.allclose(b.grad, a.data.T @ g)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("p,n", [(64, 256), (256, 64)])
+    def test_one_row_has_the_bits_of_a_two_row_product(self, dtype, p, n):
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=(2, p)).astype(dtype)
+        b = Tensor(rng.normal(size=(p, n)).astype(dtype))
+        with MacMeter() as meter:
+            one = T.matmul(Tensor(a[:1]), b)
+        assert meter.total == p * n  # the logical product, not the stacked one
+        assert one.data.shape == (1, n)
+        assert one.data.tobytes() == T.matmul(Tensor(a), b).data[:1].tobytes()
+
 
 class TestSoftmax:
     def test_symmetry(self):
