@@ -22,7 +22,6 @@ from .peer import PeerConfig, PeerLayer
 from .tensor import Tensor
 
 VOCAB = 256
-_MASK_FILL = -1e30
 
 # middle-layer kind -> (config class, layer class). A config carries its own
 # mac_per_token() and param_counts(); a layer class has build(config, seed,
@@ -120,15 +119,15 @@ class Block:
         params.update(self.ffw.named_parameters())
         return params
 
-    def attend(self, x: Tensor, mask: Tensor) -> Tensor:
-        """Token rows [b*t, d] of b sequences -> rows; t is the [t, t] mask's size."""
-        shape = (-1, mask.data.shape[0], x.data.shape[1])
+    def attend(self, x: Tensor, t: int) -> Tensor:
+        """Token rows [b*t, d] of b sequences of t tokens -> rows."""
+        shape = (-1, t, x.data.shape[1])
         q, k, v = (T.reshape(T.matmul(x, w), shape) for w in (self.wq, self.wk, self.wv))
-        out = T.reshape(T.causal_attention(q, k, v, self.n_heads, mask), x.data.shape)
+        out = T.reshape(T.causal_attention(q, k, v, self.n_heads), x.data.shape)
         return T.matmul(out, self.wo)
 
-    def forward(self, x: Tensor, mask: Tensor, mode: str):
-        h = T.add(x, self.attend(T.layer_norm(x, self.ln1_scale, self.ln1_shift), mask))
+    def forward(self, x: Tensor, t: int, mode: str):
+        h = T.add(x, self.attend(T.layer_norm(x, self.ln1_scale, self.ln1_shift), t))
         ffw_out, routing = self.ffw.forward(T.layer_norm(h, self.ln2_scale, self.ln2_shift), mode=mode)
         return T.add(h, ffw_out), routing
 
@@ -159,7 +158,6 @@ class Model:
         self.lnf_scale = Tensor(np.ones(d, dtype=dtype), requires_grad=True)
         self.lnf_shift = Tensor(np.zeros(d, dtype=dtype), requires_grad=True)
         self.lm_head = Tensor(np.zeros((d, config.vocab), dtype=dtype), requires_grad=True)
-        self._masks: dict[int, Tensor] = {}
 
     @property
     def middle(self):
@@ -188,12 +186,6 @@ class Model:
     def n_params(self) -> int:
         return sum(p.data.size for p in self.named_parameters().values()) + sum(a.size for a in self.named_state().values())
 
-    def _mask(self, t: int) -> Tensor:
-        if t not in self._masks:
-            m = np.triu(np.full((t, t), _MASK_FILL, dtype=self.config.np_dtype), k=1)
-            self._masks[t] = Tensor(m)
-        return self._masks[t]
-
     def forward(self, tokens: np.ndarray, mode: str = "infer"):
         """tokens [batch, time] -> (logits Tensor [batch*time, vocab], the
         middle layer's routing echo, or None for a dense or MoE middle)."""
@@ -205,9 +197,8 @@ class Model:
             raise ValueError(f"sequence length {t} exceeds configured maximum {self.config.seq_len}")
         x = T.add(T.gather_rows(self.tok_emb, tokens), T.gather_rows(self.pos_emb, np.arange(t)))
         x = T.reshape(x, (b * t, self.config.d_model))
-        mask = self._mask(t)
         for i, block in enumerate(self.blocks):
-            x, r = block.forward(x, mask, mode)
+            x, r = block.forward(x, t, mode)
             if i == self.config.middle_index:
                 routing = r
         logits = T.matmul(T.layer_norm(x, self.lnf_scale, self.lnf_shift), self.lm_head)

@@ -16,6 +16,7 @@ import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -296,22 +297,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _register(out, a.requires_grad or b.requires_grad, backward)
 
 
-def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: Tensor) -> Tensor:
-    """Multi-head softmax attention over q, k, v [b,t,d] with an additive [t,t] mask -> [b,t,d].
+@lru_cache(maxsize=16)  # a run uses one or two lengths; the bound keeps a caller of many from holding them all
+def _causal_mask(t: int, dtype) -> np.ndarray:
+    """The read-only additive [t,t] mask of causal_attention: -1e30 above the
+    diagonal, where exp underflows to 0, and 0 elsewhere."""
+    m = np.triu(np.full((t, t), -1e30, dtype=dtype), k=1)
+    m.flags.writeable = False
+    return m
+
+
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """Multi-head causal softmax attention over q, k, v [b,t,d] -> [b,t,d].
 
     Head h reads and writes columns h*hd:(h+1)*hd (hd = d // n_heads):
-    out = softmax(q k^T / sqrt(hd) + mask) v, one (sequence, head) pair at
-    a time, so a pair's [t,t] scores stay in cache and no head is copied
-    out. Every value comes from the same operations on the same operands as
-    the unfused chain (batched q k^T, scale, add mask, softmax, batched
-    p v, and their adjoints), so results match it bit for bit; the one
+    out = softmax(q k^T / sqrt(hd) + mask) v, where the [t,t] mask adds
+    -1e30 above the diagonal, one (sequence, head) pair at a time, so a
+    pair's [t,t] scores stay in cache and no head is copied out. Every
+    value comes from the same operations on the same operands as the
+    unfused chain (batched q k^T, scale, add mask, softmax, batched p v,
+    and their adjoints), so results match it bit for bit; the one
     exception is dk and dv of one-column heads (hd = 1 < d) over several
     sequences, where the chain read contiguous copies and BLAS's
     matrix-vector product sums a strided vector in another order. The
     probabilities are kept, in one [b,heads,t,t] buffer, only while a tape
     records the op.
     """
-    qd, kd, vd, m = q.data, k.data, v.data, mask.data
+    qd, kd, vd = q.data, k.data, v.data
     if qd.ndim != 3:
         raise ValueError(f"causal_attention expects q, k, v [b,t,d], got q shape {qd.shape}")
     if kd.shape != qd.shape or vd.shape != qd.shape or not qd.dtype == kd.dtype == vd.dtype:
@@ -319,8 +330,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: Tensor
     b, t, d = qd.shape
     if n_heads < 1 or d % n_heads != 0:
         raise ValueError(f"causal_attention: d={d} is not divisible into {n_heads} heads")
-    if m.shape != (t, t):
-        raise ValueError(f"causal_attention mask must be [{t},{t}], got shape {m.shape}")
+    m = _causal_mask(t, qd.dtype)
     hd = d // n_heads
     c = 1.0 / math.sqrt(hd)
     heads = [slice(h * hd, (h + 1) * hd) for h in range(n_heads)]
@@ -468,7 +478,7 @@ def sigmoid(a: Tensor) -> Tensor:
     return _register(out, a.requires_grad, backward)
 
 
-ACTIVATIONS = {"relu": relu, "gelu": gelu, "sigmoid": sigmoid}
+ACTIVATIONS = {"relu": relu, "gelu": gelu}  # one entry per name in config.ACTIVATIONS
 
 
 # ---------------------------------------------------------------------------
@@ -654,9 +664,7 @@ def gather_weighted_sum(w: Tensor, table: Tensor, idx) -> Tensor:
 
 def scatter_rows_add(base: Tensor, idx, rows: Tensor) -> Tensor:
     """out = base with rows[j] added at position idx[j] (duplicates accumulate)."""
-    idx = np.asarray(idx)
-    if idx.size and (idx.min() < 0 or idx.max() >= base.data.shape[0]):
-        raise IndexError(f"scatter_rows_add index out of range [0, {base.data.shape[0]})")
+    idx = _row_ids(base, idx, "scatter_rows_add")
     acc = base.data.copy()
     np.add.at(acc, idx, rows.data)
     out = Tensor(acc)
@@ -698,6 +706,44 @@ class BNState:
         )
 
 
+def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, axis: int | None = None, stats=None):
+    """gamma * (x - mean) / sqrt(var + eps) + beta over token rows x [n,d].
+
+    The mean and population variance are taken over `axis` of x (0: each
+    feature over the rows, 1: each row over its features), or are the given
+    constant `stats` (mean, var). Returns (out, mean, var), the stats kept
+    with their reduced axis.
+    """
+    if stats is None:
+        mu = x.data.mean(axis=axis, keepdims=True)
+        xhat = x.data - mu
+        var = (xhat * xhat).mean(axis=axis, keepdims=True)
+    else:
+        mu, var = stats
+        xhat = x.data - mu
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv  # the centered rows, scaled in place: no third [n,d] array
+    out = Tensor(gamma.data * xhat + beta.data)
+
+    def backward(g):
+        if gamma.requires_grad:
+            _accum(gamma, (g * xhat).sum(axis=0))
+        if beta.requires_grad:
+            _accum(beta, g.sum(axis=0))
+        if x.requires_grad:
+            dxhat = g * gamma.data
+            if stats is not None:
+                _accum(x, dxhat * inv)
+            else:
+                n = x.data.shape[axis]
+                _accum(
+                    x,
+                    inv / n * (n * dxhat - dxhat.sum(axis=axis, keepdims=True) - xhat * (dxhat * xhat).sum(axis=axis, keepdims=True)),
+                )
+
+    return _register(out, x.requires_grad or gamma.requires_grad or beta.requires_grad, backward), mu, var
+
+
 def batch_norm(x: Tensor, state: BNState, mode: str) -> Tensor:
     """Normalize each feature column of x [n,d].
 
@@ -708,74 +754,22 @@ def batch_norm(x: Tensor, state: BNState, mode: str) -> Tensor:
         raise ValueError(f"batch_norm expects x [n,d], got shape {x.data.shape}")
     if mode not in ("train", "infer"):
         raise ValueError(f"batch_norm mode must be 'train' or 'infer', got {mode!r}")
-    gamma, beta = state.scale, state.shift
-    needs = x.requires_grad or gamma.requires_grad or beta.requires_grad
-
     if mode == "infer":
-        inv = 1.0 / np.sqrt(state.running_var + state.eps)
-        xhat = (x.data - state.running_mean) * inv
-        out = Tensor(gamma.data * xhat + beta.data)
-
-        def backward_infer(g):
-            if gamma.requires_grad:
-                _accum(gamma, (g * xhat).sum(axis=0))
-            if beta.requires_grad:
-                _accum(beta, g.sum(axis=0))
-            if x.requires_grad:
-                _accum(x, g * gamma.data * inv)
-
-        return _register(out, needs, backward_infer)
-
-    n = x.data.shape[0]
-    if n < 2:
+        return _normalize(x, state.scale, state.shift, state.eps, stats=(state.running_mean, state.running_var))[0]
+    if x.data.shape[0] < 2:
         raise ValueError("batch_norm in train mode needs a batch of at least 2 rows")
-    mu = x.data.mean(axis=0)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=0)
-    inv = 1.0 / np.sqrt(var + state.eps)
-    xhat = centered * inv
-    out = Tensor(gamma.data * xhat + beta.data)
-
+    out, mu, var = _normalize(x, state.scale, state.shift, state.eps, axis=0)
     m = state.momentum
-    state.running_mean = (m * state.running_mean + (1.0 - m) * mu).astype(state.running_mean.dtype)
-    state.running_var = (m * state.running_var + (1.0 - m) * var).astype(state.running_var.dtype)
-
-    def backward_train(g):
-        if gamma.requires_grad:
-            _accum(gamma, (g * xhat).sum(axis=0))
-        if beta.requires_grad:
-            _accum(beta, g.sum(axis=0))
-        if x.requires_grad:
-            dxhat = g * gamma.data
-            _accum(x, inv / n * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)))
-
-    return _register(out, needs, backward_train)
+    state.running_mean = (m * state.running_mean + (1.0 - m) * mu[0]).astype(state.running_mean.dtype)
+    state.running_var = (m * state.running_var + (1.0 - m) * var[0]).astype(state.running_var.dtype)
+    return out
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then apply per-feature scale and shift."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out = Tensor(gamma.data * xhat + beta.data)
-    d = x.data.shape[-1]
-    reduce_axes = tuple(range(x.data.ndim - 1))
-
-    def backward(g):
-        if gamma.requires_grad:
-            _accum(gamma, (g * xhat).sum(axis=reduce_axes))
-        if beta.requires_grad:
-            _accum(beta, g.sum(axis=reduce_axes))
-        if x.requires_grad:
-            dxhat = g * gamma.data
-            _accum(
-                x,
-                inv / d * (d * dxhat - dxhat.sum(axis=-1, keepdims=True) - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True)),
-            )
-
-    return _register(out, x.requires_grad or gamma.requires_grad or beta.requires_grad, backward)
+    """Normalize each row of x [n,d] over its features, then apply per-feature scale and shift."""
+    if x.data.ndim != 2:
+        raise ValueError(f"layer_norm expects x [n,d], got shape {x.data.shape}")
+    return _normalize(x, gamma, beta, eps, axis=1)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -48,10 +48,10 @@ def _mask(t, dtype):
     return np.triu(np.full((t, t), -1e30, dtype=dtype), k=1)
 
 
-def _fused(q, k, v, n_heads, mask, g):
+def _fused(q, k, v, n_heads, g):
     qt, kt, vt = (Tensor(x, requires_grad=True) for x in (q, k, v))
     with Tape() as tape:
-        out = T.causal_attention(qt, kt, vt, n_heads, Tensor(mask))
+        out = T.causal_attention(qt, kt, vt, n_heads)
         tape.backward(out, grad=g)
     return out.data, qt.grad, kt.grad, vt.grad
 
@@ -87,21 +87,23 @@ def test_output_and_gradients_have_the_unfused_bits(dtype, b, t, d, heads):
     q, k, v, g = _inputs(rng, b, t, d, dtype)
     mask = _mask(t, dtype)
     expected = _unfused(q, k, v, heads, mask, g)
-    for name, got, want in zip(("out", "dq", "dk", "dv"), _fused(q, k, v, heads, mask, g), expected):
+    for name, got, want in zip(("out", "dq", "dk", "dv"), _fused(q, k, v, heads, g), expected):
         assert _same_bits(got, want), name
-    untaped = T.causal_attention(Tensor(q), Tensor(k), Tensor(v), heads, Tensor(mask))
+    untaped = T.causal_attention(Tensor(q), Tensor(k), Tensor(v), heads)
     assert _same_bits(untaped.data, expected[0])
 
 
 @pytest.mark.parametrize("t", [1, 7, 31])
 def test_model_mask_shorter_than_seq_len(t):
-    model = Model(ModelConfig(n_blocks=1, d_model=8, n_attn_heads=2, d_ff=16, seq_len=32))
-    mask = model._mask(t)
+    # a block hands attention sequences of t < seq_len tokens, which the op
+    # must mask with the [t, t] triangle
+    block = Model(ModelConfig(n_blocks=1, d_model=8, n_attn_heads=2, d_ff=16, seq_len=32)).blocks[0]
     rng = np.random.default_rng(t)
-    q, k, v, g = _inputs(rng, 3, t, 8, np.float32)
-    expected = _unfused(q, k, v, 2, mask.data, g)
-    for got, want in zip(_fused(q, k, v, 2, mask.data, g), expected):
-        assert _same_bits(got, want)
+    block.wo.data = rng.normal(size=(8, 8)).astype(np.float32)
+    x = rng.normal(size=(3 * t, 8)).astype(np.float32)
+    q, k, v = ((x @ w.data).reshape(3, t, 8) for w in (block.wq, block.wk, block.wv))
+    out = _unfused(q, k, v, 2, _mask(t, np.float32), np.zeros_like(q))[0]
+    assert _same_bits(block.attend(Tensor(x), t).data, out.reshape(3 * t, 8) @ block.wo.data)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -113,7 +115,7 @@ def test_one_column_heads_across_sequences_agree_to_rounding(dtype):
     rng = np.random.default_rng(5)
     q, k, v, g = _inputs(rng, 3, 64, 2, dtype)
     mask = _mask(64, dtype)
-    out, dq, dk, dv = _fused(q, k, v, 2, mask, g)
+    out, dq, dk, dv = _fused(q, k, v, 2, g)
     e_out, e_dq, e_dk, e_dv = _unfused(q, k, v, 2, mask, g)
     assert _same_bits(out, e_out) and _same_bits(dq, e_dq)
     tol = 64 * np.finfo(dtype).eps
@@ -126,16 +128,15 @@ def test_probabilities_kept_only_while_a_tape_records():
     probs_bytes = b * heads * t * t * 8
     rng = np.random.default_rng(0)
     q, k, v = (Tensor(rng.normal(size=(b, t, d)), requires_grad=True) for _ in range(3))
-    mask = Tensor(_mask(t, np.float64))
 
     def peak(record: bool) -> int:
         tracemalloc.start()
         try:
             if record:
                 with Tape():
-                    T.causal_attention(q, k, v, heads, mask)
+                    T.causal_attention(q, k, v, heads)
             else:
-                T.causal_attention(q, k, v, heads, mask)
+                T.causal_attention(q, k, v, heads)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -150,7 +151,7 @@ def test_no_gradient_for_inputs_that_do_not_need_one():
     k, v = Tensor(rng.normal(size=(2, 8, 4))), Tensor(rng.normal(size=(2, 8, 4)))
     g = rng.normal(size=(2, 8, 4))
     with Tape() as tape:
-        out = T.causal_attention(q, k, v, 2, Tensor(_mask(8, np.float64)))
+        out = T.causal_attention(q, k, v, 2)
         tape.backward(out, grad=g)
     assert k.grad is None and v.grad is None
     assert _same_bits(q.grad, _unfused(q.data, k.data, v.data, 2, _mask(8, np.float64), g)[1])
@@ -160,20 +161,17 @@ def test_meters_both_products():
     b, t, d = 3, 10, 12
     x = Tensor(np.zeros((b, t, d)))
     with MacMeter() as meter:
-        T.causal_attention(x, x, x, 4, Tensor(_mask(t, np.float64)))
+        T.causal_attention(x, x, x, 4)
     assert meter.total == 2 * b * t * t * d
 
 
 def test_rejects_bad_shapes():
     x = Tensor(np.zeros((2, 4, 6)))
-    mask = Tensor(_mask(4, np.float64))
     with pytest.raises(ValueError, match="b,t,d"):
-        T.causal_attention(Tensor(np.zeros((4, 6))), Tensor(np.zeros((4, 6))), Tensor(np.zeros((4, 6))), 2, mask)
+        T.causal_attention(Tensor(np.zeros((4, 6))), Tensor(np.zeros((4, 6))), Tensor(np.zeros((4, 6))), 2)
     with pytest.raises(ValueError, match="one shape"):
-        T.causal_attention(x, Tensor(np.zeros((2, 5, 6))), x, 2, mask)
+        T.causal_attention(x, Tensor(np.zeros((2, 5, 6))), x, 2)
     with pytest.raises(ValueError, match="dtype"):
-        T.causal_attention(x, x, Tensor(np.zeros((2, 4, 6), np.float32)), 2, mask)
+        T.causal_attention(x, x, Tensor(np.zeros((2, 4, 6), np.float32)), 2)
     with pytest.raises(ValueError, match="divisible"):
-        T.causal_attention(x, x, x, 4, mask)
-    with pytest.raises(ValueError, match="mask"):
-        T.causal_attention(x, x, x, 2, Tensor(_mask(5, np.float64)))
+        T.causal_attention(x, x, x, 4)

@@ -3,8 +3,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from peer_lab import tensor as T
 from peer_lab.baselines import DenseConfig, MoeConfig, PkmConfig
-from peer_lab.config import SCHEMA, SCORE_NORMS, dataclass_from_flat, default_config, format_config, parse_config
+from peer_lab.config import ACTIVATIONS, SCHEMA, SCORE_NORMS, dataclass_from_flat, default_config, format_config, parse_config
 from peer_lab.data import _WORDS, Corpus, synthetic_text
 from peer_lab.model import MIDDLE_LAYERS, ModelConfig, model_config_from_flat
 from peer_lab.peer import PeerConfig
@@ -171,6 +172,9 @@ class TestConfig:
         assert model_config_from_flat(cfg, method="dense").middle_config == MIDDLE_LAYERS["dense"][0](64, 256, "relu")
         assert model_config_from_flat(cfg, method="moe").middle_config.activation == "relu"
         assert model_config_from_flat(cfg, method="peer").middle_config.activation == "gelu"  # peer.activation
+
+    def test_every_configurable_activation_has_an_op_and_no_other(self):
+        assert set(T.ACTIVATIONS) == set(ACTIVATIONS)
 
 
 class TestCorpus:

@@ -113,6 +113,11 @@ class TestBatchNorm:
         assert state.running_mean[0] == pytest.approx(0.9 * 0.0 + 0.1 * 2.0)
         assert state.running_var[0] == pytest.approx(0.9 * 1.0 + 0.1 * 1.0)
 
+    def test_layer_norm_rejects_a_batch_time_input(self):
+        one = Tensor(np.ones(4))
+        with pytest.raises(ValueError, match="layer_norm expects x"):
+            T.layer_norm(Tensor(np.zeros((2, 3, 4))), one, one)
+
     def test_infer_deterministic_per_row(self):
         state = BNState.create(2)
         state.running_mean[:] = [0.5, -0.5]
@@ -171,6 +176,13 @@ class TestGatherScatter:
         assert np.array_equal(out.data, [[0.0, 0.0], [4.0, 6.0], [0.0, 0.0], [5.0, 6.0]])
         assert np.array_equal(base.grad, np.ones((4, 2)))
         assert np.array_equal(rows.grad, np.ones((3, 2)))
+
+    def test_scatter_rows_add_rejects_bool_ids(self):
+        base, rows = Tensor(np.zeros((3, 2))), Tensor(np.ones((2, 2)))
+        with pytest.raises(ValueError, match="scatter_rows_add needs integer indices"):
+            T.scatter_rows_add(base, np.array([True, False, True]), rows)
+        with pytest.raises(IndexError, match="scatter_rows_add"):
+            T.scatter_rows_add(base, np.array([0, 3]), rows)
 
 
 class TestTopK:
@@ -322,9 +334,8 @@ def _case_matmul(rng):
 
 def _case_causal_attention(rng):
     q, k, v = rand(rng, 2, 3, 4), rand(rng, 2, 3, 4), rand(rng, 2, 3, 4)
-    mask = Tensor(np.triu(np.full((3, 3), -1e30), k=1))
     w = Tensor(rng.normal(size=(2, 3, 4)))
-    return lambda: T.sum_all(T.mul(T.causal_attention(q, k, v, 2, mask), w)), [q, k, v]
+    return lambda: T.sum_all(T.mul(T.causal_attention(q, k, v, 2), w)), [q, k, v]
 
 
 def _case_softmax(rng):
@@ -340,6 +351,17 @@ def _case_batch_norm(rng):
     state.shift.data = rng.normal(size=3)
     w = Tensor(rng.normal(size=(6, 3)))
     return lambda: T.sum_all(T.mul(T.batch_norm(a, state, "train"), w)), [a, state.scale, state.shift]
+
+
+def _case_batch_norm_infer(rng):
+    a = rand(rng, 6, 3)
+    state = BNState.create(3)
+    state.scale.data = rng.normal(size=3)
+    state.shift.data = rng.normal(size=3)
+    state.running_mean = rng.normal(size=3)
+    state.running_var = rng.uniform(0.5, 2.0, size=3)
+    w = Tensor(rng.normal(size=(6, 3)))
+    return lambda: T.sum_all(T.mul(T.batch_norm(a, state, "infer"), w)), [a, state.scale, state.shift]
 
 
 def _case_layer_norm(rng):
@@ -415,6 +437,7 @@ OP_CASES = {
     "sigmoid": lambda rng: _case_unary(rng, T.sigmoid),
     "softmax": _case_softmax,
     "batch_norm": _case_batch_norm,
+    "batch_norm_infer": _case_batch_norm_infer,
     "layer_norm": _case_layer_norm,
     "gather_rows": _case_gather,
     "scatter_rows_add": _case_scatter,
