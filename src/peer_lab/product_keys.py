@@ -12,8 +12,10 @@ fully deterministic and bit-identical to the exhaustive reference.
 
 `ProductKeyLayer` is the router PEER and PKM share: per-head query
 networks, an optional batch norm over the queries, one batched retrieval and
-the normalized scores of the retrieved keys. The two layers differ only in
-the payload they read at the retrieved ids.
+the normalized scores of the retrieved keys. Those scores are the ones the
+retrieval selected, put on the tape as they are, with no second pass over
+the sub-keys. The two layers differ only in the payload they read at the
+retrieved ids.
 """
 
 from __future__ import annotations
@@ -123,7 +125,9 @@ def retrieve_topk_batch(index: ProductKeyIndex, queries, k: int) -> tuple[np.nda
     Each row is split in half and scored against both sub-key sets; each
     side's top-k winners, ordered by sub-index, give k^2 candidates in
     ascending expert-id order, and the stable top-k over their sums breaks
-    ties toward the smaller id. Rows go through in near-equal tiles of at
+    ties toward the smaller id. The returned scores are those selected sums
+    of the two per-side products, and `ProductKeyLayer.route` puts them on
+    the tape as they are. Rows go through in near-equal tiles of at
     most `tile_rows(sqrt_n)` rows, so a tile's score blocks stay in cache;
     OpenBLAS gives a product of 2+ rows the bits of the untiled product, so
     tiling changes no result (one row goes through a matrix-vector product,
@@ -331,16 +335,12 @@ class ProductKeyLayer:
             q_all = T.batch_norm(q_all, self.bn, mode)
 
         # One retrieval for all tokens x heads; selection is not differentiated.
+        # Its selected scores, the sums of its own sub-key products (already
+        # metered), go on the tape as they are, differentiable in the queries
+        # and sub-keys.
         sqrt_n = self.index.sqrt_n
-        half = cfg.query_dim // 2
-        idx, _raw = retrieve_topk_batch(self.index, q_all.data, cfg.topk)
-
-        # Recompute the selected scores differentiably from the sub-keys. The
-        # retrieval instrument already charged these products; keep the meter off.
-        with T.macs_uncounted():
-            q1 = T.col_slice(q_all, 0, half)
-            q2 = T.col_slice(q_all, half, cfg.query_dim)
-            scores = T.add(T.gather_dot(q1, self.index.left, idx // sqrt_n), T.gather_dot(q2, self.index.right, idx % sqrt_n))
+        idx, raw = retrieve_topk_batch(self.index, q_all.data, cfg.topk)
+        scores = T.product_key_scores(q_all, self.index.left, self.index.right, idx // sqrt_n, idx % sqrt_n, raw)
 
         # softmax normalizes over the k retrieved scores within each head
         weights = T.softmax(scores) if cfg.score_norm == "softmax_per_head" else T.sigmoid(scores)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -191,22 +190,9 @@ class MacMeter:
 
 def count_macs(n: int, comparisons: int = 0) -> None:
     """Charge n MACs and `comparisons` comparisons to the innermost meter in scope."""
-    if getattr(_LOCAL, "macs_paused", False):
-        return
     meters = getattr(_LOCAL, "meters", None)
     if meters:
         meters[-1].add(n, comparisons)
-
-
-@contextmanager
-def macs_uncounted():
-    """Suspend metering of MACs and comparisons, e.g. for re-derivations of already-counted work."""
-    prev = getattr(_LOCAL, "macs_paused", False)
-    _LOCAL.macs_paused = True
-    try:
-        yield
-    finally:
-        _LOCAL.macs_paused = prev
 
 
 # ---------------------------------------------------------------------------
@@ -618,11 +604,21 @@ def gather_rows(table: Tensor, idx) -> Tensor:
     return _register(out, table.requires_grad, backward)
 
 
+def _placed(g: np.ndarray, idx: np.ndarray, n: int) -> csr_matrix:
+    """g [m,k] placed at columns idx [m,k] of an [m, n] CSR matrix. An id named
+    twice in a row keeps both entries, and a product with the matrix sums them."""
+    m, k = idx.shape
+    return csr_matrix((g.reshape(-1), idx.reshape(-1), np.arange(m + 1) * k), shape=(m, n))
+
+
 def gather_dot(x: Tensor, table: Tensor, idx) -> Tensor:
     """x [m,d] and rows idx [m,k] of table [n,d] -> [m,k]; out[i,j] = x[i] . table[idx[i,j]].
 
-    The table's adjoint adds g[i,j] * x[i] into row idx[i,j] through
-    scatter_add_into, with no [m,k,d] intermediate.
+    x's adjoint is one CSR product of g, placed at the ids, with the table;
+    the table's adjoint adds g[i,j] * x[i] into row idx[i,j] through
+    scatter_add_into. Neither keeps the [m,k,d] gather of the forward, so
+    nothing may write the table between the forward and its backward
+    (train_step updates parameters only after backward).
     """
     idx = _row_ids(table, idx, "gather_dot")
     if x.data.ndim != 2 or table.data.ndim != 2 or idx.ndim != 2 or idx.shape[0] != x.data.shape[0] or x.data.shape[1] != table.data.shape[1]:
@@ -630,10 +626,11 @@ def gather_dot(x: Tensor, table: Tensor, idx) -> Tensor:
     rows = table.data[idx]
     count_macs(rows.size)
     out = Tensor(np.einsum("md,mkd->mk", x.data, rows))
+    data = table.data
 
     def backward(g):
         if x.requires_grad:
-            _accum(x, np.einsum("mk,mkd->md", g, rows))
+            _accum(x, _placed(g, idx, data.shape[0]) @ data)
         if table.requires_grad:
             scatter_add_into(table, idx, x.data, g)
 
@@ -643,8 +640,11 @@ def gather_dot(x: Tensor, table: Tensor, idx) -> Tensor:
 def gather_weighted_sum(w: Tensor, table: Tensor, idx) -> Tensor:
     """w [m,k] and rows idx [m,k] of table [n,d] -> [m,d]; out[i] = sum_j w[i,j] * table[idx[i,j]].
 
-    The table's adjoint adds w[i,j] * g[i] into row idx[i,j] through
-    scatter_add_into, with no [m,k,d] intermediate.
+    w's adjoint gathers the rows again, in backward, from the table array
+    the forward read; the table's adjoint adds w[i,j] * g[i] into row
+    idx[i,j] through scatter_add_into. No [m,k,d] gather is kept from the
+    forward to its backward, so nothing may write the table in between
+    (train_step updates parameters only after backward).
     """
     idx = _row_ids(table, idx, "gather_weighted_sum")
     if w.data.ndim != 2 or table.data.ndim != 2 or w.data.shape != idx.shape:
@@ -652,14 +652,54 @@ def gather_weighted_sum(w: Tensor, table: Tensor, idx) -> Tensor:
     rows = table.data[idx]
     count_macs(rows.size)
     out = Tensor(np.einsum("mk,mkd->md", w.data, rows))
+    data = table.data
 
     def backward(g):
         if w.requires_grad:
-            _accum(w, np.einsum("md,mkd->mk", g, rows))
+            _accum(w, np.einsum("md,mkd->mk", g, data[idx]))
         if table.requires_grad:
             scatter_add_into(table, idx, g, w.data)
 
     return _register(out, w.requires_grad or table.requires_grad, backward)
+
+
+def product_key_scores(q: Tensor, left: Tensor, right: Tensor, left_ids, right_ids, scores: np.ndarray) -> Tensor:
+    """`scores` [m,k] on the tape as q[i, :half] . left[left_ids[i,j]] + q[i, half:] . right[right_ids[i,j]].
+
+    q is [m, 2*half]; left and right are [n, half] sub-key tables. The
+    forward value is `scores` as given (retrieval returns these sums for the
+    ids it selects): it is neither recomputed nor checked, and charges no
+    MACs. Each half of q's adjoint is one CSR product of g, placed at that
+    side's ids, with that side's table, so an id a row names twice adds
+    twice; the tables' adjoints go through scatter_add_into. Nothing may
+    write q or the tables between the forward and its backward.
+    """
+    left_ids = _row_ids(left, left_ids, "product_key_scores")
+    right_ids = _row_ids(right, right_ids, "product_key_scores")
+    half = left.data.shape[-1]
+    if (
+        q.data.ndim != 2 or left.data.ndim != 2 or right.data.shape != left.data.shape or q.data.shape[1] != 2 * half
+        or scores.ndim != 2 or scores.shape[0] != q.data.shape[0] or not scores.shape == left_ids.shape == right_ids.shape
+    ):
+        raise ValueError(
+            f"product_key_scores shape mismatch: q {q.data.shape}, tables {left.data.shape} and {right.data.shape}, "
+            f"ids {left_ids.shape} and {right_ids.shape}, scores {scores.shape}"
+        )
+    out = Tensor(scores)
+    q_data, l_data, r_data = q.data, left.data, right.data
+
+    def backward(g):
+        if q.requires_grad:
+            dq = np.empty_like(q_data)
+            dq[:, :half] = _placed(g, left_ids, l_data.shape[0]) @ l_data
+            dq[:, half:] = _placed(g, right_ids, r_data.shape[0]) @ r_data
+            _accum(q, dq)
+        if left.requires_grad:
+            scatter_add_into(left, left_ids, q_data[:, :half], g)
+        if right.requires_grad:
+            scatter_add_into(right, right_ids, q_data[:, half:], g)
+
+    return _register(out, q.requires_grad or left.requires_grad or right.requires_grad, backward)
 
 
 def scatter_rows_add(base: Tensor, idx, rows: Tensor) -> Tensor:

@@ -158,7 +158,7 @@ class TestForward:
             assert routing.indices.shape == routing.weights.shape == (16, 2, 2)
             assert routing.n_experts == 64
 
-    @pytest.mark.parametrize("middle,nodes", [("peer", 51), ("pkm", 48), ("dense", 39), ("moe", 70)])
+    @pytest.mark.parametrize("middle,nodes", [("peer", 47), ("pkm", 44), ("dense", 39), ("moe", 70)])
     def test_desk_loss_forward_tape_nodes(self, middle, nodes):
         model = build_model(model_config_from_flat({**default_config(), "model.middle_layer": middle}))
         tokens = np.random.default_rng(0).integers(0, 256, size=(2, 8))

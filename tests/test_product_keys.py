@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peer_lab import product_keys
+from peer_lab import tensor as T
+from peer_lab.baselines import PkmConfig, PkmLayer
+from peer_lab.peer import PeerConfig, PeerLayer
 from peer_lab.product_keys import (
     build_index,
     retrieve_exhaustive,
@@ -11,7 +16,7 @@ from peer_lab.product_keys import (
     retrieve_topk_batch,
     tile_rows,
 )
-from peer_lab.tensor import MacMeter
+from peer_lab.tensor import MacMeter, Tape, Tensor
 
 
 def hand_index():
@@ -284,3 +289,55 @@ class TestTiledRetrieval:
                     else:
                         tol = 2 * (d // 2) * np.finfo(dtype).eps * max(1.0, float(np.abs(ref.scores).max()))
                         assert np.allclose(scores[r], ref.scores, rtol=0.0, atol=tol), (m, r)
+
+
+class TestRouter:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scores_are_the_retrieval_scores(self, dtype, monkeypatch):
+        layer = PeerLayer.build(PeerConfig(n_experts=256, heads=2, topk=3, d_model=16, query_dim=16), seed=5, dtype=dtype)
+        x = Tensor(np.random.default_rng(5).normal(size=(24, 16)).astype(dtype), requires_grad=True)
+        retrieved, normalized = [], []
+        retrieve, softmax = product_keys.retrieve_topk_batch, T.softmax
+
+        def capture_retrieval(index, queries, k):
+            ids, scores = retrieve(index, queries, k)
+            retrieved.append((np.array(queries), ids, scores.copy()))
+            return ids, scores
+
+        def capture_softmax(scores):
+            normalized.append(scores.data.copy())
+            return softmax(scores)
+
+        monkeypatch.setattr(product_keys, "retrieve_topk_batch", capture_retrieval)
+        monkeypatch.setattr(T, "softmax", capture_softmax)
+        with Tape():
+            layer.forward(x, mode="train")
+        [(queries, ids, scores)], [pre_norm] = retrieved, normalized
+        assert pre_norm.tobytes() == scores.tobytes()
+        half = layer.config.query_dim // 2
+        for r, q in enumerate(queries):
+            ref = retrieve_exhaustive(layer.index, q, layer.config.topk)
+            assert np.array_equal(ids[r], ref.indices)
+            tol = 2 * half * np.finfo(dtype).eps * max(1.0, float(np.abs(ref.scores).max()))
+            assert np.allclose(pre_norm[r], ref.scores, rtol=0.0, atol=tol), r
+
+    @pytest.mark.parametrize("layer_cls,config_cls", [(PeerLayer, PeerConfig), (PkmLayer, PkmConfig)])
+    def test_recorded_forward_holds_no_gathered_rows(self, layer_cls, config_cls):
+        # desk widths: d_model 64, 4 heads, top-4, query_dim 128, 4096 keys
+        layer = layer_cls.build(config_cls(), seed=0, dtype=np.float32)
+        cfg, m, itemsize = layer.config, 512, 4
+        x = Tensor(np.random.default_rng(0).normal(size=(m, cfg.d_model)).astype(np.float32), requires_grad=True)
+        # one [tokens, heads*topk, d_model] gather, the unit a routed op would keep per table
+        gather = m * cfg.heads * cfg.topk * cfg.d_model * itemsize
+        # backward needs the query product, BN's normalized rows and its
+        # output, and a few [tokens, heads*topk] score and weight arrays
+        needed = 3 * m * cfg.heads * cfg.query_dim * itemsize + 8 * m * cfg.heads * cfg.topk * itemsize
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                y, _ = layer.forward(x, mode="train")
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(tape) > 0 and y.requires_grad
+        assert held < needed + gather // 2, f"{held / gather:.2f} gathers held"

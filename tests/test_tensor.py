@@ -269,17 +269,11 @@ class TestTapeSemantics:
         with MacMeter() as meter:
             T.matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((4, 5))))
         assert meter.total == 3 * 4 * 5
-        with MacMeter() as meter:
-            with T.macs_uncounted():
-                T.matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((4, 5))))
-        assert meter.total == 0
 
-    def test_mac_meter_counts_comparisons_and_pauses_both(self):
+    def test_mac_meter_counts_comparisons(self):
         with MacMeter() as meter:
             T.count_macs(7, comparisons=3)
             T.count_macs(2)
-            with T.macs_uncounted():
-                T.count_macs(5, comparisons=4)
         assert (meter.total, meter.comparisons) == (9, 3)
 
 
@@ -411,6 +405,21 @@ def _case_gather_weighted_sum(rng):
     return lambda: T.sum_all(T.mul(T.gather_weighted_sum(wts, table, idx), w)), [wts, table]
 
 
+def _case_product_key_scores(rng):
+    q = rand(rng, 4, 6)
+    left, right = rand(rng, 5, 3), rand(rng, 5, 3)
+    left_ids, right_ids = _gathered_ids(rng), _gathered_ids(rng)
+    w = Tensor(rng.normal(size=(4, 3)))
+
+    def f():
+        # the op takes its scores as given: compute them from the current
+        # values, so central differences see them move
+        scores = np.einsum("md,mkd->mk", q.data[:, :3], left.data[left_ids]) + np.einsum("md,mkd->mk", q.data[:, 3:], right.data[right_ids])
+        return T.sum_all(T.mul(T.product_key_scores(q, left, right, left_ids, right_ids, scores), w))
+
+    return f, [q, left, right]
+
+
 def _case_cross_entropy(rng):
     logits = rand(rng, 5, 7)
     targets = rng.integers(0, 7, size=5)
@@ -443,6 +452,7 @@ OP_CASES = {
     "scatter_rows_add": _case_scatter,
     "gather_dot": _case_gather_dot,
     "gather_weighted_sum": _case_gather_weighted_sum,
+    "product_key_scores": _case_product_key_scores,
     "cross_entropy": _case_cross_entropy,
     "slices_concat": _case_slices_concat,
 }
