@@ -193,6 +193,8 @@ class Model:
         if tokens.ndim != 2:
             raise ValueError(f"tokens must be [batch, time], got shape {tokens.shape}")
         b, t = tokens.shape
+        if b == 0 or t == 0:
+            raise ValueError(f"tokens must hold at least one sequence of at least one token, got shape {tokens.shape}")
         if t > self.config.seq_len:
             raise ValueError(f"sequence length {t} exceeds configured maximum {self.config.seq_len}")
         x = T.add(T.gather_rows(self.tok_emb, tokens), T.gather_rows(self.pos_emb, np.arange(t)))

@@ -283,11 +283,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _register(out, a.requires_grad or b.requires_grad, backward)
 
 
-@lru_cache(maxsize=16)  # a run uses one or two lengths; the bound keeps a caller of many from holding them all
-def _causal_mask(t: int, dtype) -> np.ndarray:
-    """The read-only additive [t,t] mask of causal_attention: -1e30 above the
-    diagonal, where exp underflows to 0, and 0 elsewhere."""
-    m = np.triu(np.full((t, t), -1e30, dtype=dtype), k=1)
+# query rows of one causal_attention tile. A tile of r rows ending at row hi
+# scores keys [0, hi) only; at desk its [heads, 64, <= 256] float32 scores
+# (256 KiB) stay in cache, and at t = 256 the tiles cover 62.5% of the
+# [t, t] block (128-row tiles: 75%; 32-row tiles lose to per-call overhead)
+ATTENTION_TILE = 64
+
+# numpy copies a broadcast operand, such as the softmax's row maxima and
+# sums, into a ufunc buffer of this many elements; its default, 8192, is as
+# large as a whole 64-row tile of two float64 heads, and this keeps the copy
+# at a quarter of that with no measured cost
+_SOFTMAX_BUFSIZE = 2048
+
+
+@lru_cache(maxsize=None)
+def _causal_mask(dtype) -> np.ndarray:
+    """The read-only additive mask of a tile's diagonal block, [ATTENTION_TILE]
+    square: -1e30 above the diagonal, where exp underflows to 0, and 0
+    elsewhere. Its top-left [r, r] corner masks a last tile of r rows."""
+    m = np.triu(np.full((ATTENTION_TILE, ATTENTION_TILE), -1e30, dtype=dtype), k=1)
     m.flags.writeable = False
     return m
 
@@ -296,17 +310,28 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     """Multi-head causal softmax attention over q, k, v [b,t,d] -> [b,t,d].
 
     Head h reads and writes columns h*hd:(h+1)*hd (hd = d // n_heads):
-    out = softmax(q k^T / sqrt(hd) + mask) v, where the [t,t] mask adds
-    -1e30 above the diagonal, one (sequence, head) pair at a time, so a
-    pair's [t,t] scores stay in cache and no head is copied out. Every
-    value comes from the same operations on the same operands as the
-    unfused chain (batched q k^T, scale, add mask, softmax, batched p v,
-    and their adjoints), so results match it bit for bit; the one
-    exception is dk and dv of one-column heads (hd = 1 < d) over several
-    sequences, where the chain read contiguous copies and BLAS's
-    matrix-vector product sums a strided vector in another order. The
-    probabilities are kept, in one [b,heads,t,t] buffer, only while a tape
-    records the op.
+    out = softmax(q k^T / sqrt(hd) + mask) v, where the mask adds -1e30
+    above the diagonal. Each sequence's query rows are walked in tiles of
+    ATTENTION_TILE rows; the tile [lo, hi) runs every head at once as one
+    stacked product over strided views (no head is copied out) against the
+    keys [0, hi) only, and only its diagonal [r, r] block gets the mask, so
+    key blocks wholly above the diagonal are never computed, stored or read.
+
+    For t <= ATTENTION_TILE there is one tile, and every value comes from the
+    same operations on the same operands as the unfused chain (batched
+    q k^T, scale, add mask, softmax, batched p v, and their adjoints), so
+    results match it bit for bit; the one exception is dk and dv of
+    one-column heads (hd = 1 < d) over several sequences, where the chain
+    read contiguous copies and BLAS's matrix-vector product sums a strided
+    vector in another order. Longer windows move at rounding level: a row's
+    sum and p v run over hi columns, not t, and dk and dv add up the tiles'
+    contributions. A masked entry is still exactly 0, so no output reads a
+    later key.
+
+    The probabilities are kept only while a tape records, and only for the
+    triangle's tiles: one buffer of b * heads * sum(r * hi) values. The MAC
+    meter is charged the logical full products, 2 * b * heads * t^2 * hd,
+    as `analysis` budgets attention.
     """
     qd, kd, vd = q.data, k.data, v.data
     if qd.ndim != 3:
@@ -316,45 +341,73 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     b, t, d = qd.shape
     if n_heads < 1 or d % n_heads != 0:
         raise ValueError(f"causal_attention: d={d} is not divisible into {n_heads} heads")
-    m = _causal_mask(t, qd.dtype)
+    m = _causal_mask(qd.dtype)
     hd = d // n_heads
     c = 1.0 / math.sqrt(hd)
-    heads = [slice(h * hd, (h + 1) * hd) for h in range(n_heads)]
-    count_macs(2 * b * n_heads * t * t * hd)  # q k^T, then p v
+    count_macs(2 * b * n_heads * t * t * hd)  # q k^T, then p v, as full products
+
+    def heads(x):  # [b, t, d] -> [b, heads, t, hd], a view of contiguous x
+        return x.reshape(b, t, n_heads, hd).transpose(0, 2, 1, 3)
+
+    tiles, size = [], 0  # (lo, hi, offset of its [heads, hi - lo, hi] block)
+    for lo in range(0, t, ATTENTION_TILE):
+        hi = min(lo + ATTENTION_TILE, t)
+        tiles.append((lo, hi, size))
+        size += n_heads * (hi - lo) * hi
+
+    def block(buf, lo, hi, at):
+        return buf[at : at + n_heads * (hi - lo) * hi].reshape(n_heads, hi - lo, hi)
+
     needs_grad = q.requires_grad or k.requires_grad or v.requires_grad
-    probs = np.empty((b, n_heads, t, t), qd.dtype) if needs_grad and _active_tape() is not None else None
-    scratch = np.empty((t, t), qd.dtype) if probs is None else None
+    probs = np.empty((b, size), qd.dtype) if needs_grad and _active_tape() is not None else None
+    tile_size = n_heads * min(t, ATTENTION_TILE) * t  # the largest tile's block
+    scratch = np.empty(tile_size, qd.dtype) if probs is None else None
     out = np.empty(qd.shape, qd.dtype)
-    for i in range(b):
-        for h, cols in enumerate(heads):
-            s = scratch if probs is None else probs[i, h]
-            np.matmul(qd[i, :, cols], kd[i, :, cols].T, out=s)
-            # scale, add the mask, softmax: in place, with the chain's bits
-            s *= c
-            s += m
-            s -= s.max(axis=-1, keepdims=True)
-            np.exp(s, out=s)
-            s /= s.sum(axis=-1, keepdims=True)
-            np.matmul(s, vd[i, :, cols], out=out[i, :, cols])
+    qh, kh, vh, oh = heads(qd), heads(kd), heads(vd), heads(out)
+    bufsize = np.setbufsize(_SOFTMAX_BUFSIZE)
+    try:
+        for i in range(b):
+            for lo, hi, at in tiles:
+                s = block(scratch, lo, hi, 0) if probs is None else block(probs[i], lo, hi, at)
+                np.matmul(qh[i, :, lo:hi], kh[i, :, :hi].transpose(0, 2, 1), out=s)
+                # scale, mask the diagonal block, softmax: in place, the chain's operations
+                s *= c
+                s[:, :, lo:] += m[: hi - lo, : hi - lo]
+                s -= s.max(axis=-1, keepdims=True)
+                np.exp(s, out=s)
+                s /= s.sum(axis=-1, keepdims=True)
+                np.matmul(s, vh[i, :, :hi], out=oh[i, :, lo:hi])
+    finally:
+        np.setbufsize(bufsize)
 
     def backward(g):
         dq, dk, dv = (np.empty(qd.shape, qd.dtype) if x.requires_grad else None for x in (q, k, v))
-        dp, kt = np.empty((t, t), qd.dtype), np.empty((hd, t), qd.dtype)
+        gh = heads(g)
+        dqh, dkh, dvh = (None if x is None else heads(x) for x in (dq, dk, dv))
+        dp_buf, kt, vt = np.empty(tile_size, qd.dtype), np.empty((n_heads, hd, t), qd.dtype), np.empty((n_heads, t, hd), qd.dtype)
+
+        def place(rows, x, hi):  # the last tile spans every key and writes; earlier tiles add
+            if hi == t:
+                rows[...] = x
+            else:
+                rows[:, :hi] += x
+
         for i in range(b):
-            for h, cols in enumerate(heads):
-                p, g_ih = probs[i, h], g[i, :, cols]
+            for lo, hi, at in reversed(tiles):
+                p, g_t = block(probs[i], lo, hi, at), gh[i, :, lo:hi]
                 if dv is not None:
-                    np.matmul(p.T, g_ih, out=dv[i, :, cols])
+                    place(dvh[i], np.matmul(p.transpose(0, 2, 1), g_t, out=vt[:, :hi]), hi)
                 if dq is None and dk is None:
                     continue
-                np.matmul(g_ih, vd[i, :, cols].T, out=dp)
+                dp = block(dp_buf, lo, hi, 0)
+                np.matmul(g_t, vh[i, :, :hi].transpose(0, 2, 1), out=dp)
                 dp -= (dp * p).sum(axis=-1, keepdims=True)
                 dp *= p
                 dp *= c
                 if dq is not None:
-                    np.matmul(dp, kd[i, :, cols], out=dq[i, :, cols])
+                    np.matmul(dp, kh[i, :, :hi], out=dqh[i, :, lo:hi])
                 if dk is not None:
-                    dk[i, :, cols] = np.matmul(qd[i, :, cols].T, dp, out=kt).T
+                    place(dkh[i], np.matmul(qh[i, :, lo:hi].transpose(0, 2, 1), dp, out=kt[:, :, :hi]).transpose(0, 2, 1), hi)
         for x, gx in ((q, dq), (k, dk), (v, dv)):
             if gx is not None:
                 _accum(x, gx)
@@ -504,6 +557,8 @@ def cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:
     if logits.data.ndim != 2 or targets.ndim != 1 or targets.shape[0] != logits.data.shape[0]:
         raise ValueError(f"cross entropy expects logits [n,v] and targets [n], got {logits.data.shape} and {targets.shape}")
     n = logits.data.shape[0]
+    if n == 0:
+        raise ValueError(f"cross entropy is the mean over rows and needs at least one, got logits shape {logits.data.shape}")
     m = logits.data.max(axis=-1, keepdims=True)
     e = np.exp(logits.data - m)
     z = e.sum(axis=-1, keepdims=True)

@@ -2,9 +2,17 @@
 
 The chain split the [b,t,d] projections into [b*heads,t,hd] heads with
 reshape/permute/reshape, then ran bmm(q, k^T) -> scale -> + mask ->
-softmax -> bmm(p, v) and merged the heads back; its backward was the tape's
-adjoints of those ops in reverse. `_unfused` repeats both in numpy, with the
-same expressions on the same operands.
+softmax -> bmm(p, v) over the full [t, t] block and merged the heads back;
+its backward was the tape's adjoints of those ops in reverse. `_unfused`
+repeats both in numpy, with the same expressions on the same operands.
+
+The op walks each sequence's query rows in tiles of T.ATTENTION_TILE rows
+and scores a tile ending at row hi against keys [0, hi) only. A window of
+at most one tile runs the chain's operations on the chain's operands, so it
+keeps the chain's bits. Longer windows sum rows over hi columns and add dk
+and dv up across tiles, so they agree with the chain to rounding, within
+the bound of `_rounding_tol`. Only the triangle's tiles are kept for
+backward, and only while a tape records.
 """
 
 import math
@@ -64,8 +72,15 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
-# (b, t, d, heads): one sequence, one position, one head, one-column heads
-# (alone, or in a single sequence), odd widths, and the desk block's shape
+def _rounding_tol(t, dtype, want):
+    # a sum of t terms taken in another order moves by at most about
+    # t * eps of the magnitudes it adds; every value here is such a sum
+    return t * np.finfo(dtype).eps * np.max(np.abs(want))
+
+
+# (b, t, d, heads), each one tile (t <= T.ATTENTION_TILE): one sequence, one
+# position, one head, one-column heads (alone, or in a single sequence), odd
+# widths, and a full tile
 SHAPES = [
     (1, 1, 1, 1),
     (1, 1, 8, 2),
@@ -76,8 +91,23 @@ SHAPES = [
     (2, 5, 4, 2),
     (2, 40, 12, 3),
     (3, 64, 16, 4),
+]
+
+# (b, t, d, heads) over several tiles: a 1-row last tile (65, 129), an
+# 8-row one (200), one-column heads (70), and the desk block's shape (256)
+MULTI_TILE_SHAPES = [
+    (1, 65, 8, 2),
+    (2, 129, 12, 3),
+    (2, 200, 16, 4),
+    (3, 70, 2, 2),
     (16, 256, 64, 4),
 ]
+
+
+def test_shapes_are_one_tile_or_several():
+    assert T.ATTENTION_TILE == 64
+    assert all(t <= T.ATTENTION_TILE for _, t, _, _ in SHAPES)
+    assert all(t > T.ATTENTION_TILE for _, t, _, _ in MULTI_TILE_SHAPES)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -91,6 +121,20 @@ def test_output_and_gradients_have_the_unfused_bits(dtype, b, t, d, heads):
         assert _same_bits(got, want), name
     untaped = T.causal_attention(Tensor(q), Tensor(k), Tensor(v), heads)
     assert _same_bits(untaped.data, expected[0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b,t,d,heads", MULTI_TILE_SHAPES)
+def test_multi_tile_output_and_gradients_agree_to_rounding(dtype, b, t, d, heads):
+    rng = np.random.default_rng(b * 1000 + t * 10 + heads)
+    q, k, v, g = _inputs(rng, b, t, d, dtype)
+    expected = _unfused(q, k, v, heads, _mask(t, dtype), g)
+    got = _fused(q, k, v, heads, g)
+    for name, x, want in zip(("out", "dq", "dk", "dv"), got, expected):
+        assert x.shape == want.shape and x.dtype == want.dtype, name
+        assert np.max(np.abs(x - want)) <= _rounding_tol(t, dtype, want), name
+    untaped = T.causal_attention(Tensor(q), Tensor(k), Tensor(v), heads)
+    assert _same_bits(untaped.data, got[0])
 
 
 @pytest.mark.parametrize("t", [1, 7, 31])
@@ -145,16 +189,40 @@ def test_probabilities_kept_only_while_a_tape_records():
     assert peak(record=False) < probs_bytes // 2
 
 
+def test_a_recorded_forward_keeps_only_the_triangle():
+    b, heads, t, d = 2, 2, 256, 8
+    tiles = [(lo, min(lo + T.ATTENTION_TILE, t)) for lo in range(0, t, T.ATTENTION_TILE)]
+    triangle_bytes = b * heads * sum((hi - lo) * hi for lo, hi in tiles) * 8
+    full_bytes = b * heads * t * t * 8
+    slack = 8192  # the output's Tensor, the tape's node and the tile list
+    assert triangle_bytes + slack < 0.7 * full_bytes
+    rng = np.random.default_rng(0)
+    q, k, v = (Tensor(rng.normal(size=(b, t, d)), requires_grad=True) for _ in range(3))
+    tracemalloc.start()
+    try:
+        with Tape():
+            out = T.causal_attention(q, k, v, heads)
+            held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= triangle_bytes + out.data.nbytes + slack
+
+
 def test_no_gradient_for_inputs_that_do_not_need_one():
     rng = np.random.default_rng(1)
-    q = Tensor(rng.normal(size=(2, 8, 4)), requires_grad=True)
-    k, v = Tensor(rng.normal(size=(2, 8, 4))), Tensor(rng.normal(size=(2, 8, 4)))
-    g = rng.normal(size=(2, 8, 4))
-    with Tape() as tape:
-        out = T.causal_attention(q, k, v, 2)
-        tape.backward(out, grad=g)
-    assert k.grad is None and v.grad is None
-    assert _same_bits(q.grad, _unfused(q.data, k.data, v.data, 2, _mask(8, np.float64), g)[1])
+    for t in (8, T.ATTENTION_TILE + 5):
+        q = Tensor(rng.normal(size=(2, t, 4)), requires_grad=True)
+        k, v = Tensor(rng.normal(size=(2, t, 4))), Tensor(rng.normal(size=(2, t, 4)))
+        g = rng.normal(size=(2, t, 4))
+        with Tape() as tape:
+            out = T.causal_attention(q, k, v, 2)
+            tape.backward(out, grad=g)
+        assert k.grad is None and v.grad is None
+        want = _unfused(q.data, k.data, v.data, 2, _mask(t, np.float64), g)[1]
+        if t <= T.ATTENTION_TILE:
+            assert _same_bits(q.grad, want)
+        else:
+            assert np.max(np.abs(q.grad - want)) <= _rounding_tol(t, np.float64, want)
 
 
 def test_meters_both_products():

@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -181,10 +182,34 @@ class TestForward:
                 logits, _ = model.forward(changed, mode="infer")
                 assert logits.data[:j].tobytes() == ref.data[:j].tobytes(), f"seed {seed}, j {j}"
 
+    @pytest.mark.parametrize("middle", ["dense", "pkm", "peer", "moe"])
+    def test_later_tokens_leave_earlier_logits_bitwise_unchanged_across_tiles(self, middle):
+        # a 160-token window is three attention tiles; j lands on both sides
+        # of each tile boundary
+        t = 160
+        assert 2 * T.ATTENTION_TILE < t < 3 * T.ATTENTION_TILE
+        model = build_model(model_config_from_flat({**default_config(), "model.middle_layer": middle, "model.seq_len": t}))
+        rng = np.random.default_rng(2)
+        for p in model.named_parameters().values():  # move the zero-initialized output maps off zero
+            p.data += rng.normal(0.0, 0.1, p.data.shape).astype(p.data.dtype)
+        tokens = rng.integers(0, 256, size=(1, t))
+        ref, _ = model.forward(tokens, mode="infer")
+        for j in (63, 64, 65, 127, 128, 129, 159):
+            changed = tokens.copy()
+            changed[:, j:] = rng.integers(0, 256, size=(1, t - j))
+            logits, _ = model.forward(changed, mode="infer")
+            assert logits.data[:j].tobytes() == ref.data[:j].tobytes(), f"j {j}"
+
     def test_sequence_too_long_errors(self):
         model = build_model(tiny_config())
         with pytest.raises(ValueError):
             model.forward(np.zeros((1, 100), dtype=np.int64))
+
+    @pytest.mark.parametrize("shape", [(1, 0), (0, 8), (0, 0)])
+    def test_empty_tokens_error_by_shape(self, shape):
+        model = build_model(tiny_config())
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            model.forward(np.zeros(shape, dtype=np.int64))
 
 
 class TestTraining:

@@ -234,6 +234,11 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             T.cross_entropy_with_logits(Tensor(np.zeros((2, 4))), np.array([0, 1, 2]))
 
+    def test_no_rows_errors(self):
+        # the mean of nothing would be a silent NaN
+        with pytest.raises(ValueError, match=r"\(0, 4\)"):
+            T.cross_entropy_with_logits(Tensor(np.zeros((0, 4))), np.zeros(0, dtype=np.int64))
+
 
 class TestTapeSemantics:
     def test_grad_accumulates_over_uses(self):
@@ -329,6 +334,14 @@ def _case_matmul(rng):
 def _case_causal_attention(rng):
     q, k, v = rand(rng, 2, 3, 4), rand(rng, 2, 3, 4), rand(rng, 2, 3, 4)
     w = Tensor(rng.normal(size=(2, 3, 4)))
+    return lambda: T.sum_all(T.mul(T.causal_attention(q, k, v, 2), w)), [q, k, v]
+
+
+def _case_causal_attention_tiles(rng):
+    # two tiles, the second of 5 rows: dk and dv add up across tiles
+    t = T.ATTENTION_TILE + 5
+    q, k, v = rand(rng, 1, t, 4), rand(rng, 1, t, 4), rand(rng, 1, t, 4)
+    w = Tensor(rng.normal(size=(1, t, 4)))
     return lambda: T.sum_all(T.mul(T.causal_attention(q, k, v, 2), w)), [q, k, v]
 
 
@@ -441,6 +454,7 @@ OP_CASES = {
     "mul": lambda rng: _case_elementwise(rng, T.mul),
     "matmul": _case_matmul,
     "causal_attention": _case_causal_attention,
+    "causal_attention_tiles": _case_causal_attention_tiles,
     "relu": lambda rng: _case_unary(rng, T.relu, low=0.05),
     "gelu": lambda rng: _case_unary(rng, T.gelu),
     "sigmoid": lambda rng: _case_unary(rng, T.sigmoid),
