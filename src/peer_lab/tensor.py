@@ -6,6 +6,15 @@ Ops are plain functions over `Tensor` values. While a `Tape` is active
 accumulating (never overwriting) gradients into every tensor that
 ``requires_grad``. With no tape active, ops are plain numpy computations.
 
+Backward frees what it has used. Just before an op's adjoint runs, the tape
+takes that op's output gradient off the output and drops the op's record,
+so the closure and the forward arrays it captured go as soon as the adjoint
+returns; every op that read the output ran its adjoint earlier. Afterwards
+only leaves (parameters and inputs, which no recorded op produced) hold
+gradients, and a tape runs backward once. An adjoint may overwrite arrays
+its own op made, since it runs once, but never its upstream gradient `g`,
+which may be another tensor's gradient too.
+
 Float64 is the default dtype; float32 is supported for speed. Matmul-like
 ops report multiply-accumulate counts to an optional `MacMeter`.
 """
@@ -92,13 +101,17 @@ def _active_tape():
 class Tape:
     """Ordered record of executed ops; backward replays adjoints in reverse.
 
-    One forward pass per tape. Each recorded entry is (output tensor,
-    backward closure); the closure reads the output's accumulated gradient
-    and adds each input's contribution to its ``grad`` buffer.
+    One forward pass per tape, and one backward. Each recorded entry is
+    (output tensor, backward closure); the closure takes the output's
+    accumulated gradient and adds each input's contribution to that input's
+    gradient. Backward drops each entry, and the output's gradient, once it
+    reaches it, so afterwards only leaves hold gradients. ``len(tape)`` stays
+    the number of ops recorded.
     """
 
     def __init__(self):
-        self._records: list[tuple[Tensor, object]] = []
+        self._records: list[tuple[Tensor, object] | None] = []
+        self._ran = False
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -119,7 +132,14 @@ class Tape:
 
         Tensors never touched by the path to `output` keep grad=None;
         parameters used multiple times accumulate the sum of contributions.
+        Each op output's gradient is cleared, and its record dropped, right
+        before its adjoint runs: every op that read that output came later
+        and has already run its own. So when backward returns, no recorded
+        output holds a gradient, nothing keeps the forward's saved arrays,
+        and a second call raises RuntimeError.
         """
+        if self._ran:
+            raise RuntimeError("this tape has already run backward, which freed its records; record the forward again on a new Tape")
         if grad is None:
             if output.data.ndim != 0:
                 raise ValueError(
@@ -130,19 +150,28 @@ class Tape:
             grad = np.array(grad, dtype=output.data.dtype)  # a copy: the caller keeps its array
             if grad.shape != output.data.shape:
                 raise ValueError(f"seed gradient shape {grad.shape} != output shape {output.data.shape}")
+        self._ran = True
         _accum(output, grad)
-        for out, bwd in reversed(self._records):
-            if out.grad is not None:
-                bwd(out.grad)
+        records = self._records
+        for i in reversed(range(len(records))):
+            out, bwd = records[i]
+            records[i] = None  # the entry count stays; the closure goes with bwd
+            g = out.grad
+            out.zero_grad()
+            if g is not None:
+                bwd(g)
+            del out, bwd, g
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
     """Add one dense contribution to t's gradient without writing into any array.
 
     A first contribution is kept as it is, although it may alias another
-    tensor's gradient: no gradient is ever updated in place, so a later
+    tensor's gradient, or an adjoint's upstream `g`: no gradient is ever
+    updated in place, and no adjoint writes into its `g`, so a later
     contribution makes a new array (the bits of `+=`). A row-sparse gradient
-    held so far is added as its dense form.
+    held so far is added as its dense form. Tape.backward takes the sum
+    off an op output when that op's adjoint runs; only leaves keep theirs.
     """
     if t.grad is None:
         t._grad = g.astype(t.data.dtype, copy=False)
@@ -488,15 +517,25 @@ def relu(a: Tensor) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact (erf-based) GELU."""
+    """Exact (erf-based) GELU: x * cdf(x), with cdf = 0.5 * (1 + erf(x / sqrt(2)))."""
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    cdf = x * _INV_SQRT2  # built in place: one [n, d] array besides the output
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     out = Tensor(x * cdf)
 
     def backward(g):
         if a.requires_grad:
-            pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-            _accum(a, g * (cdf + x * pdf))
+            # g * (cdf + x * pdf), pdf = exp(-x^2 / 2) / sqrt(2 pi), in one temporary
+            d = -0.5 * x
+            d *= x
+            np.exp(d, out=d)
+            d *= _INV_SQRT_2PI
+            d *= x
+            d += cdf
+            d *= g
+            _accum(a, d)
 
     return _register(out, a.requires_grad, backward)
 
@@ -560,18 +599,20 @@ def cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:
     if n == 0:
         raise ValueError(f"cross entropy is the mean over rows and needs at least one, got logits shape {logits.data.shape}")
     m = logits.data.max(axis=-1, keepdims=True)
-    e = np.exp(logits.data - m)
-    z = e.sum(axis=-1, keepdims=True)
-    log_probs = (logits.data - m) - np.log(z)
+    e = logits.data - m  # the shifted logits, exponentiated in place: one [n, v] array
     rows = np.arange(n)
-    loss = -log_probs[rows, targets].mean()
+    picked = e[rows, targets]
+    np.exp(e, out=e)
+    z = e.sum(axis=-1, keepdims=True)
+    loss = -(picked - np.log(z[:, 0])).mean()  # the log-probabilities of the targets only
     out = Tensor(np.asarray(loss, dtype=logits.data.dtype))
 
     def backward(g):
         if logits.requires_grad:
-            p = e / z
+            p = np.divide(e, z, out=e)  # the probabilities, in the array only this closure holds
             p[rows, targets] -= 1.0
-            _accum(logits, (g / n) * p)
+            p *= g / n
+            _accum(logits, p)
 
     return _register(out, logits.requires_grad, backward)
 
@@ -821,20 +862,28 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, axis: int | N
     out = Tensor(gamma.data * xhat + beta.data)
 
     def backward(g):
+        # one [n,d] scratch t besides the result dxhat, each product into one of them
+        t = None
         if gamma.requires_grad:
-            _accum(gamma, (g * xhat).sum(axis=0))
+            t = g * xhat
+            _accum(gamma, t.sum(axis=0))
         if beta.requires_grad:
             _accum(beta, g.sum(axis=0))
         if x.requires_grad:
             dxhat = g * gamma.data
             if stats is not None:
-                _accum(x, dxhat * inv)
+                dxhat *= inv
             else:
+                # inv / n * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))
                 n = x.data.shape[axis]
-                _accum(
-                    x,
-                    inv / n * (n * dxhat - dxhat.sum(axis=axis, keepdims=True) - xhat * (dxhat * xhat).sum(axis=axis, keepdims=True)),
-                )
+                s1 = dxhat.sum(axis=axis, keepdims=True)
+                t = np.multiply(dxhat, xhat, out=t)
+                s2 = t.sum(axis=axis, keepdims=True)
+                dxhat *= n
+                dxhat -= s1
+                dxhat -= np.multiply(xhat, s2, out=t)
+                dxhat *= inv / n
+            _accum(x, dxhat)
 
     return _register(out, x.requires_grad or gamma.requires_grad or beta.requires_grad, backward), mu, var
 

@@ -1,6 +1,7 @@
 import importlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,8 +165,14 @@ class TestForward:
         model = build_model(model_config_from_flat({**default_config(), "model.middle_layer": middle}))
         tokens = np.random.default_rng(0).integers(0, 256, size=(2, 8))
         with T.Tape() as tape:
-            model.loss(tokens[:, :-1], tokens[:, 1:])
+            loss = model.loss(tokens[:, :-1], tokens[:, 1:])
         assert len(tape) == nodes
+        outputs = [out for out, _ in tape._records]
+        tape.backward(loss)
+        # backward drops the records and the op outputs' gradients, not the count
+        assert len(tape) == nodes
+        assert all(t.grad is None and t.grad_rows is None for t in outputs)
+        assert all(p.grad is not None for p in model.named_parameters().values())  # leaves keep theirs
 
     @pytest.mark.parametrize("middle", ["dense", "pkm", "peer", "moe"])
     def test_later_tokens_leave_earlier_logits_bitwise_unchanged(self, middle):
@@ -314,6 +321,37 @@ class TestTraining:
             assert np.array_equal(p.data, resumed.named_parameters()[name].data), name
         for name, arr in uninterrupted.named_state().items():
             assert np.array_equal(arr, resumed.named_state()[name]), name
+
+
+class TestStepMemory:
+    def test_backward_peaks_near_the_forward_tape_and_leaves_only_leaf_gradients(self):
+        # the desk-peer step, after warm steps: backward frees each op's saved
+        # arrays and output gradient once its adjoint has run, so it peaks at
+        # the forward tape plus one op's working set, and what it leaves with
+        # the tape still in scope is the parameters' gradients
+        cfg = {**default_config(), "model.middle_layer": "peer", "model.seed": 1}
+        model = build_model(model_config_from_flat(cfg))
+        corpus = Corpus.synthetic(1 << 20, seed=1)
+        tcfg = TrainConfig(batch=16, warmup=1, seed=1)
+        state = init_train_state(model, tcfg)
+        for _ in range(2):
+            train_module.train_step(model, corpus, state, tcfg)
+        x, y = corpus.sample_windows(state.rng, tcfg.batch, model.config.seq_len)
+        for p in model.named_parameters().values():
+            p.zero_grad()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with T.Tape() as tape:
+                loss = model.loss(x, y, mode="train")
+                tape_bytes = tracemalloc.get_traced_memory()[0] - base
+                tracemalloc.reset_peak()
+                tape.backward(loss)
+                held, peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * tape_bytes, f"backward peak {peak / 2**20:.1f} MiB over a {tape_bytes / 2**20:.1f} MiB tape"
+        assert held < 4 << 20, f"{held / 2**20:.1f} MiB held after backward"
 
 
 class TestCheckpointEntries:

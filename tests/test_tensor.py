@@ -1,10 +1,12 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import erf
 
 from peer_lab import tensor as T
 from peer_lab.tensor import BNState, MacMeter, Tape, Tensor
@@ -281,6 +283,167 @@ class TestTapeSemantics:
             T.count_macs(2)
         assert (meter.total, meter.comparisons) == (9, 3)
 
+    def test_backward_runs_once(self):
+        # a second pass would add x's gradient again ([8, 16] at [1, 2]); its records are gone
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            y = T.sum_all(T.mul(x, x))
+            tape.backward(y)
+            with pytest.raises(RuntimeError, match="already run backward"):
+                tape.backward(y)
+        assert np.array_equal(x.grad, [2.0, 4.0])
+
+    def test_a_bad_seed_leaves_the_tape_able_to_run(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            y = T.scale(x, 2.0)
+            with pytest.raises(ValueError):
+                tape.backward(y, grad=np.ones(3))
+            tape.backward(y, grad=np.ones(2))
+        assert np.array_equal(x.grad, [2.0, 2.0])
+
+
+class TestTapeRelease:
+    """Backward drops each record and each op output's gradient as it goes."""
+
+    def test_only_leaves_hold_gradients_afterwards(self):
+        rng = np.random.default_rng(0)
+        x, w = rand(rng, 6, 4), rand(rng, 4, 5)
+        gamma, beta = rand(rng, 5), rand(rng, 5)
+        with Tape() as tape:
+            h = T.gelu(T.matmul(x, w))
+            n = T.layer_norm(h, gamma, beta)
+            rows = T.gather_rows(n, [0, 2, 2, 5])  # n's gradient comes back row-sparse
+            loss = T.cross_entropy_with_logits(rows, [1, 0, 4, 3])
+            outputs = [out for out, _ in tape._records]
+            tape.backward(loss)
+            assert len(tape) == len(outputs) == 5
+        assert {id(t) for t in outputs} >= {id(h), id(n), id(rows), id(loss)}
+        for t in outputs:
+            assert t.grad is None and t.grad_ids is None and t.grad_rows is None
+        for leaf in (x, w, gamma, beta):
+            assert leaf.grad is not None and leaf.grad.shape == leaf.data.shape
+
+    @pytest.mark.parametrize(
+        "op,saved",
+        [
+            (lambda x: T.layer_norm(x, Tensor(np.ones(4), requires_grad=True), Tensor(np.zeros(4))), "xhat"),
+            (T.gelu, "cdf"),
+            (lambda x: T.cross_entropy_with_logits(x, [0, 1, 2, 3, 0, 1]), "e"),
+        ],
+        ids=["layer_norm", "gelu", "cross_entropy"],
+    )
+    def test_saved_arrays_die_before_backward_returns(self, op, saved):
+        # the op reads an op output: cross entropy's adjoint hands its saved
+        # array on as the gradient, which a leaf would keep
+        x = rand(np.random.default_rng(1), 6, 4)
+        with Tape() as tape:
+            y = op(T.scale(x, 1.0))
+            bwd = tape._records[-1][1]
+            cells = dict(zip(bwd.__code__.co_freevars, (c.cell_contents for c in bwd.__closure__)))
+            ref = weakref.ref(cells[saved])
+            del bwd, cells
+            loss = y if y.data.ndim == 0 else T.sum_all(y)
+            assert ref() is not None
+            tape.backward(loss)
+            assert ref() is None  # the tape and y are still in scope
+        assert x.grad is not None
+
+
+def _head_normalize(x, gamma, beta, eps, axis, stats, g):
+    """The normalization forward and adjoint as plain expressions (the form
+    before the adjoint worked in place), for bitwise comparison."""
+    if stats is None:
+        mu = x.mean(axis=axis, keepdims=True)
+        xhat = x - mu
+        var = (xhat * xhat).mean(axis=axis, keepdims=True)
+    else:
+        mu, var = stats
+        xhat = x - mu
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv
+    out = gamma * xhat + beta
+    dgamma, dbeta, dxhat = (g * xhat).sum(axis=0), g.sum(axis=0), g * gamma
+    if stats is not None:
+        dx = dxhat * inv
+    else:
+        n = x.shape[axis]
+        dx = inv / n * (n * dxhat - dxhat.sum(axis=axis, keepdims=True) - xhat * (dxhat * xhat).sum(axis=axis, keepdims=True))
+    return out, dx.astype(x.dtype), dgamma, dbeta
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestInPlaceAdjointsKeepTheBits:
+    """The in-place adjoints against the plain expressions they replaced."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["layer", "batch_train", "batch_infer"])
+    @pytest.mark.parametrize("gamma_grad", [True, False])
+    def test_normalize(self, dtype, mode, gamma_grad):
+        rng = np.random.default_rng(3)
+        n, d = 257, 67
+        x = (rng.normal(size=(n, d)) * 3.0 + 1.0).astype(dtype)
+        g = rng.normal(size=(n, d)).astype(dtype)
+        gamma, beta = rng.normal(size=d).astype(dtype), rng.normal(size=d).astype(dtype)
+        xt = Tensor(x.copy(), requires_grad=True)
+        gt, bt = Tensor(gamma.copy(), requires_grad=gamma_grad), Tensor(beta.copy(), requires_grad=True)
+        stats = None
+        with Tape() as tape:
+            if mode == "layer":
+                axis, out = 1, T.layer_norm(xt, gt, bt)
+            else:
+                axis, state = 0, BNState.create(d, dtype=dtype)
+                state.scale, state.shift = gt, bt
+                if mode == "batch_infer":
+                    state.running_mean = rng.normal(size=d).astype(dtype)
+                    state.running_var = rng.uniform(0.5, 2.0, size=d).astype(dtype)
+                    stats = (state.running_mean, state.running_var)
+                out = T.batch_norm(xt, state, "train" if stats is None else "infer")
+            tape.backward(out, grad=g)
+        e_out, e_dx, e_dgamma, e_dbeta = _head_normalize(x, gamma, beta, 1e-5, axis, stats, g)
+        assert _same_bits(out.data, e_out)
+        assert _same_bits(xt.grad, e_dx)
+        assert _same_bits(bt.grad, e_dbeta)
+        assert _same_bits(gt.grad, e_dgamma) if gamma_grad else gt.grad is None
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu(self, dtype):
+        rng = np.random.default_rng(4)
+        x = (rng.normal(size=(129, 67)) * 2.0).astype(dtype)
+        g = rng.normal(size=x.shape).astype(dtype)
+        xt = Tensor(x.copy(), requires_grad=True)
+        with Tape() as tape:
+            out = T.gelu(xt)
+            tape.backward(out, grad=g)
+        cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+        pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+        assert _same_bits(out.data, x * cdf)
+        assert _same_bits(xt.grad, g * (cdf + x * pdf))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cross_entropy(self, dtype):
+        rng = np.random.default_rng(5)
+        n, v = 97, 256
+        logits = (rng.normal(size=(n, v)) * 4.0).astype(dtype)
+        targets = rng.integers(0, v, size=n)
+        seed = np.asarray(0.7, dtype=dtype)
+        lt = Tensor(logits.copy(), requires_grad=True)
+        with Tape() as tape:
+            loss = T.cross_entropy_with_logits(lt, targets)
+            tape.backward(loss, grad=seed)
+        m = logits.max(axis=-1, keepdims=True)
+        e = np.exp(logits - m)
+        z = e.sum(axis=-1, keepdims=True)
+        log_probs = (logits - m) - np.log(z)
+        p = e / z
+        p[np.arange(n), targets] -= 1.0
+        assert _same_bits(loss.data, np.asarray(-log_probs[np.arange(n), targets].mean(), dtype=dtype))
+        assert _same_bits(lt.grad, (seed / n) * p)
+
 
 class TestGradCheck:
     def test_constant_function_zero_error(self):
@@ -480,3 +643,19 @@ def test_every_op_passes_grad_check_over_100_seeds(name):
         f, params = OP_CASES[name](rng)
         worst = max(worst, T.grad_check(f, params, step=1e-5, max_coords=6, seed=seed))
     assert worst <= 1e-3, f"{name}: worst rel err {worst}"
+
+
+@pytest.mark.parametrize("name", sorted(OP_CASES))
+def test_no_adjoint_writes_into_its_upstream_gradient(name):
+    # the closures are called directly: Tape.backward copies its seed, so a
+    # read-only seed passed through it would prove nothing
+    rng = np.random.default_rng(0)
+    f, _ = OP_CASES[name](rng)
+    with Tape() as tape:
+        f()
+        records = list(tape._records)
+    assert records
+    for out, bwd in records:
+        g = rng.normal(size=out.data.shape).astype(out.data.dtype)
+        g.flags.writeable = False
+        bwd(g)  # an in-place write into g raises here
