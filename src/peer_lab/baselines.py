@@ -60,8 +60,8 @@ class DenseFFW:
     @classmethod
     def build(cls, config: DenseConfig, seed: int = 0, dtype=np.float64, prefix: str = "dense") -> "DenseFFW":
         rng = np.random.default_rng(seed)
-        w_in = rng.normal(0.0, 1.0 / math.sqrt(config.d_model), size=(config.d_model, config.d_ff)).astype(dtype)
-        w_out = rng.normal(0.0, 1.0 / math.sqrt(config.d_ff), size=(config.d_ff, config.d_model)).astype(dtype)
+        w_in = T.normal_rows(rng, 1.0 / math.sqrt(config.d_model), (config.d_model, config.d_ff), dtype)
+        w_out = T.normal_rows(rng, 1.0 / math.sqrt(config.d_ff), (config.d_ff, config.d_model), dtype)
         return cls(config, Tensor(w_in, requires_grad=True), Tensor(w_out, requires_grad=True), prefix=prefix)
 
     def named_parameters(self) -> dict[str, Tensor]:
@@ -113,7 +113,7 @@ class PkmLayer(ProductKeyLayer):
     def build(cls, config: PkmConfig, seed: int = 0, dtype=np.float64) -> "PkmLayer":
         rng, index, query_nets, bn = cls.build_router(config, seed, dtype)
         values = Tensor(
-            rng.normal(0.0, 1.0 / math.sqrt(config.heads * config.topk), size=(config.n_memories, config.d_model)).astype(dtype),
+            T.normal_rows(rng, 1.0 / math.sqrt(config.heads * config.topk), (config.n_memories, config.d_model), dtype),
             requires_grad=True,
         )
         return cls(config, index, query_nets, bn, values)
@@ -175,7 +175,7 @@ class MoeLayer:
     @classmethod
     def build(cls, config: MoeConfig, seed: int = 0, dtype=np.float64) -> "MoeLayer":
         rng = np.random.default_rng(seed)
-        gate = Tensor(rng.normal(0.0, 1.0 / math.sqrt(config.d_model), size=(config.d_model, config.n_experts)).astype(dtype), requires_grad=True)
+        gate = Tensor(T.normal_rows(rng, 1.0 / math.sqrt(config.d_model), (config.d_model, config.n_experts), dtype), requires_grad=True)
         expert_cfg = DenseConfig(d_model=config.d_model, d_ff=config.d_ff, activation=config.activation)
         experts = [DenseFFW.build(expert_cfg, seed=seed + 1 + e, dtype=dtype, prefix=f"moe.expert{e}") for e in range(config.n_experts)]
         return cls(config, gate, experts)

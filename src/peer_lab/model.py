@@ -96,9 +96,9 @@ class Block:
         std = 1.0 / math.sqrt(d_model)
         self.ln1_scale = Tensor(np.ones(d_model, dtype=dtype), requires_grad=True)
         self.ln1_shift = Tensor(np.zeros(d_model, dtype=dtype), requires_grad=True)
-        self.wq = Tensor(rng.normal(0.0, std, size=(d_model, d_model)).astype(dtype), requires_grad=True)
-        self.wk = Tensor(rng.normal(0.0, std, size=(d_model, d_model)).astype(dtype), requires_grad=True)
-        self.wv = Tensor(rng.normal(0.0, std, size=(d_model, d_model)).astype(dtype), requires_grad=True)
+        self.wq = Tensor(T.normal_rows(rng, std, (d_model, d_model), dtype), requires_grad=True)
+        self.wk = Tensor(T.normal_rows(rng, std, (d_model, d_model), dtype), requires_grad=True)
+        self.wv = Tensor(T.normal_rows(rng, std, (d_model, d_model), dtype), requires_grad=True)
         self.wo = Tensor(np.zeros((d_model, d_model), dtype=dtype), requires_grad=True)
         self.ln2_scale = Tensor(np.ones(d_model, dtype=dtype), requires_grad=True)
         self.ln2_shift = Tensor(np.zeros(d_model, dtype=dtype), requires_grad=True)
@@ -143,8 +143,8 @@ class Model:
         middle_seed = int(children[1].generate_state(1)[0])
 
         d = config.d_model
-        self.tok_emb = Tensor(backbone_rng.normal(0.0, 0.02, size=(config.vocab, d)).astype(dtype), requires_grad=True)
-        self.pos_emb = Tensor(backbone_rng.normal(0.0, 0.02, size=(config.seq_len, d)).astype(dtype), requires_grad=True)
+        self.tok_emb = Tensor(T.normal_rows(backbone_rng, 0.02, (config.vocab, d), dtype), requires_grad=True)
+        self.pos_emb = Tensor(T.normal_rows(backbone_rng, 0.02, (config.seq_len, d), dtype), requires_grad=True)
 
         self.blocks: list[Block] = []
         for i in range(config.n_blocks):
@@ -176,10 +176,11 @@ class Model:
         return {name: arr for block in self.blocks for name, arr in block.ffw.named_state().items()}
 
     def load_tensors(self, tensors: dict[str, np.ndarray]) -> None:
-        """Assign parameter and state values from a checkpoint dict; each must
+        """Copy parameter and state values from a checkpoint dict into the
+        arrays the model holds, so a load allocates no second table; each must
         be present with the model's shape (ValueError otherwise)."""
         for name, p in self.named_parameters().items():
-            p.data = checked_entry(tensors, name, p.data.shape).astype(p.data.dtype, copy=True)
+            p.data[...] = checked_entry(tensors, name, p.data.shape)
         for name, arr in self.named_state().items():
             arr[...] = checked_entry(tensors, name, arr.shape)
 

@@ -83,12 +83,11 @@ class PeerLayer(ProductKeyLayer):
         rng, index, query_nets, bn = cls.build_router(config, seed, dtype)
         down_std = 1.0 / math.sqrt(config.d_model)
         up_std = 1.0 / math.sqrt(config.heads * config.topk)
+        shape = (config.n_experts, config.d_model)
         experts = ExpertStore(
-            w_down=Tensor(rng.normal(0.0, down_std, size=(config.n_experts, config.d_model)).astype(dtype), requires_grad=True),
-            w_up=Tensor(rng.normal(0.0, up_std, size=(config.n_experts, config.d_model)).astype(dtype), requires_grad=True),
-            w_gate=Tensor(rng.normal(0.0, down_std, size=(config.n_experts, config.d_model)).astype(dtype), requires_grad=True)
-            if config.glu
-            else None,
+            w_down=Tensor(T.normal_rows(rng, down_std, shape, dtype), requires_grad=True),
+            w_up=Tensor(T.normal_rows(rng, up_std, shape, dtype), requires_grad=True),
+            w_gate=Tensor(T.normal_rows(rng, down_std, shape, dtype), requires_grad=True) if config.glu else None,
         )
         return cls(config, index, query_nets, bn, experts)
 

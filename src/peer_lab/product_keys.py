@@ -169,8 +169,20 @@ def retrieve_topk_batch(index: ProductKeyIndex, queries, k: int) -> tuple[np.nda
     return indices, scores
 
 
+# sub-key values in one [rows, d/2] key block of the oracle: 2 MiB in float64
+ORACLE_BLOCK = 1 << 18
+
+
 def retrieve_exhaustive(index: ProductKeyIndex, query, k: int) -> RetrievalResult:
-    """Reference oracle: materialize all N full keys and score every expert.
+    """Reference oracle: score every expert's full key, one key block at a time.
+
+    Expert e = i*sqrt_n + j has the key [left sub-key i, right sub-key j].
+    A block of consecutive left sub-keys i0..i1 gives the keys of experts
+    i0*sqrt_n .. i1*sqrt_n: its left halves (`np.repeat` of those sub-keys)
+    and right halves (`np.tile` of all right sub-keys) are built, scored and
+    freed in turn, each at most ORACLE_BLOCK values (or one left sub-key's
+    rows), so no array the size of the key table is ever held; the scores
+    go into one [N] array.
 
     Charges the scoped `MacMeter` N*d MACs and N comparisons. Each inner
     product is the sum of the two half dot products, as on the product-key
@@ -186,12 +198,14 @@ def retrieve_exhaustive(index: ProductKeyIndex, query, k: int) -> RetrievalResul
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, N={n}], got {k}")
     half = index.key_dim // 2
-    # row e = i*sqrt_n + j holds [left sub-key i, right sub-key j]; each
-    # [N, d/2] half is built, used and freed in turn, never a [N, d] copy
-    scores = (
-        np.repeat(index.left.data, sqrt_n, axis=0) @ q[:half]
-        + np.tile(index.right.data, (sqrt_n, 1)) @ q[half:]
-    )
+    left, right = index.left.data, index.right.data
+    step = max(1, ORACLE_BLOCK // (sqrt_n * half))
+    scores = np.empty(n, np.result_type(q.dtype, left.dtype))
+    for i0 in range(0, sqrt_n, step):
+        i1 = min(i0 + step, sqrt_n)
+        block = np.repeat(left[i0:i1], sqrt_n, axis=0) @ q[:half]
+        block += np.tile(right, (i1 - i0, 1)) @ q[half:]
+        scores[i0 * sqrt_n : i1 * sqrt_n] = block
     idx, vals = top_k(scores, k)
     count_macs(n * index.key_dim, comparisons=n)
     return RetrievalResult(indices=idx.astype(np.int64), scores=vals)
@@ -285,7 +299,7 @@ class ProductKeyLayer:
         rng = np.random.default_rng(seed)
         index = build_index(config.n_keys, config.query_dim, seed=seed, dtype=dtype)
         query_nets = [
-            Tensor(rng.normal(0.0, 1.0 / math.sqrt(config.d_model), size=(config.d_model, config.query_dim)).astype(dtype), requires_grad=True)
+            Tensor(T.normal_rows(rng, 1.0 / math.sqrt(config.d_model), (config.d_model, config.query_dim), dtype), requires_grad=True)
             for _ in range(config.heads)
         ]
         bn = BNState.create(config.query_dim, dtype=dtype) if config.query_bn else None

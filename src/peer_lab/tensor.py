@@ -83,6 +83,29 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
+# float64 values one block of `normal_rows` draws: 2 MiB, 4096 rows at d = 64
+NORMAL_BLOCK = 1 << 18
+
+
+def normal_rows(rng: np.random.Generator, std: float, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """`rng.normal(0, std, shape).astype(dtype)` without its float64 copy.
+
+    The array is allocated once in `dtype` and filled in blocks of whole
+    rows, at most NORMAL_BLOCK values each (one row, if a row holds more).
+    The generator fills a draw in order, so the blocks are one stream: every
+    bit, and the generator's state afterwards, equal the one-shot draw's. A
+    [2^20, 64] float32 table then peaks at itself plus 2 MiB, not plus its
+    512 MiB float64 draw.
+    """
+    out = np.empty(shape, dtype)
+    row_shape = tuple(shape[1:])
+    step = max(1, NORMAL_BLOCK // max(1, math.prod(row_shape)))
+    for lo in range(0, shape[0], step):
+        hi = min(lo + step, shape[0])
+        out[lo:hi] = rng.normal(0.0, std, size=(hi - lo,) + row_shape)
+    return out
+
+
 _LOCAL = threading.local()
 
 

@@ -372,6 +372,14 @@ class TestCheckpointEntries:
             assert np.array_equal(arr, saved[name]), name
             assert model.named_state()[name] is arr
 
+    def test_parameters_load_into_their_own_arrays(self, saved):
+        model = build_model(tiny_config("peer"))
+        arrays = {name: p.data for name, p in model.named_parameters().items()}
+        model.load_tensors(saved)
+        for name, p in model.named_parameters().items():
+            assert p.data is arrays[name], name
+            assert p.data.dtype == np.float32 and np.array_equal(p.data, saved[name]), name
+
     def test_misshapen_state_raises(self, saved):
         saved["peer.bn.mean"] = saved["peer.bn.mean"][:1]
         with pytest.raises(ValueError, match=r"peer\.bn\.mean: checkpoint \(1,\) vs model \(8,\)"):

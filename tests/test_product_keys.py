@@ -152,6 +152,20 @@ class TestExhaustive:
             retrieve_exhaustive(build_index(4096, 16, seed=0), np.ones(16), 4)
         assert meter.comparisons == 4096
 
+    def test_scores_one_key_block_at_a_time(self):
+        n, d = 1 << 18, 16
+        half_table_bytes = n * (d // 2) * 8  # one [N, d/2] float64 half of the key table
+        index = build_index(n, d, seed=0)
+        query = np.random.default_rng(0).normal(size=d)
+        tracemalloc.start()
+        try:
+            result = retrieve_exhaustive(index, query, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < half_table_bytes // 2, f"peaked {peak / 2**20:.1f} MiB"
+        assert result.indices.tolist() == retrieve_topk(index, query, 4).indices.tolist()
+
 
 class TestOracleEquivalence:
     @pytest.mark.parametrize("n,d", [(16, 4), (64, 16), (256, 16), (4096, 16)])
