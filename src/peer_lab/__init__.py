@@ -11,12 +11,10 @@ from .product_keys import (
     retrieve_topk_batch,
 )
 from .peer import (
-    ExpertStore,
     PeerConfig,
     PeerLayer,
     PeerRouting,
     assemble_dense_equivalent,
-    peer_backward,
     peer_forward,
     record_usage,
 )
@@ -38,7 +36,6 @@ from .analysis import (
     evaluate_scaling_law,
     expert_usage_metrics,
     mac_per_token,
-    param_counts,
 )
 from .data import Corpus, synthetic_text
 from .model import Model, ModelConfig, build_model
@@ -57,12 +54,10 @@ __all__ = [
     "retrieve_exhaustive",
     "retrieve_topk",
     "retrieve_topk_batch",
-    "ExpertStore",
     "PeerConfig",
     "PeerLayer",
     "PeerRouting",
     "assemble_dense_equivalent",
-    "peer_backward",
     "peer_forward",
     "record_usage",
     "DenseConfig",
@@ -80,7 +75,6 @@ __all__ = [
     "evaluate_scaling_law",
     "expert_usage_metrics",
     "mac_per_token",
-    "param_counts",
     "Corpus",
     "synthetic_text",
     "Model",

@@ -33,18 +33,6 @@ class ParamCounts:
     granularity: float  # active / expert
 
 
-def param_counts(cfg, bias_accounting: bool = True) -> ParamCounts:
-    """Exact serialized-size totals plus the active/expert accounting of a
-    middle-layer config.
-
-    For single-hidden-layer experts the per-expert count is
-    (2 * d_model + bias) * d_expert with one bias slot per hidden neuron by
-    convention; pass bias_accounting=False for the literal bias-free count
-    (our experts carry no biases).
-    """
-    return cfg.param_counts(bias_accounting)
-
-
 # ---------------------------------------------------------------------------
 # Per-token MACs
 # ---------------------------------------------------------------------------

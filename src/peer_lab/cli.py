@@ -16,7 +16,7 @@ from .data import Corpus
 from .model import build_model, model_config_from_flat
 from .peer import PeerConfig, record_usage
 from .product_keys import ProductKeyLayer, build_index, retrieve_exhaustive, retrieve_topk
-from .tensor import MacMeter, grad_check_detail
+from .tensor import MacMeter, grad_check
 from .train import TrainConfig, evaluate_perplexity, load_train_checkpoint, train
 
 BENCH_HEADER = "N,d,k,method,macs,comparisons,wall_ns,match"
@@ -190,11 +190,10 @@ def cmd_grad_check(args) -> int:
     def f():
         return model.loss(tokens, targets, mode="train")
 
-    errors = grad_check_detail(f, model.named_parameters(), step=1e-5, max_coords=8, seed=args.seed)
-    worst = 0.0
+    errors = grad_check(f, model.named_parameters(), step=1e-5, max_coords=8, seed=args.seed)
     for name, err in sorted(errors.items()):
         print(f"{name:30s} rel_err={err:.3e}")
-        worst = max(worst, err)
+    worst = max(errors.values())
     print(f"max rel_err={worst:.3e} ({'OK' if worst <= 1e-3 else 'FAIL'})")
     return 0 if worst <= 1e-3 else 1
 

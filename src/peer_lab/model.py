@@ -190,6 +190,7 @@ class Model:
     def forward(self, tokens: np.ndarray, mode: str = "infer"):
         """tokens [batch, time] -> (logits Tensor [batch*time, vocab], the
         middle layer's routing echo, or None for a dense or MoE middle)."""
+        check_choice("mode", mode, ("train", "infer"))
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
             raise ValueError(f"tokens must be [batch, time], got shape {tokens.shape}")
@@ -216,19 +217,13 @@ def build_model(config: ModelConfig) -> Model:
     return Model(config)
 
 
-def model_config_from_flat(cfg: dict, method: str | None = None, d_model: int | None = None, d_ff: int | None = None) -> ModelConfig:
+def model_config_from_flat(cfg: dict) -> ModelConfig:
     """Build a ModelConfig (with its middle-layer config) from a flat key=value
-    dict; `method`, `d_model` and `d_ff` override the model.* keys.
+    dict.
 
     A middle-config field reads "<kind>.<field>" when the schema has that key,
     else the model's d_model, d_ff or activation.
     """
-    cfg = {
-        **cfg,
-        "model.middle_layer": method or cfg["model.middle_layer"],
-        "model.d_model": d_model or cfg["model.d_model"],
-        "model.d_ff": d_ff or cfg["model.d_ff"],
-    }
     kind = cfg["model.middle_layer"]
     check_choice("model.middle_layer", kind, tuple(MIDDLE_LAYERS))
     shared = {"d_model": cfg["model.d_model"], "d_ff": cfg["model.d_ff"], "activation": cfg["model.activation"]}

@@ -60,23 +60,23 @@ class PeerConfig(RouterConfig):
         return ParamCounts(total=total, active=active, expert=expert, granularity=active / expert)
 
 
-@dataclass
-class ExpertStore:
-    """Embedding tables holding every expert's weight vectors, one row each."""
-
-    w_down: Tensor  # [n_experts, d_model]
-    w_up: Tensor  # [n_experts, d_model]
-    w_gate: Tensor | None = None  # [n_experts, d_model], GLU variant only
-
-
 class PeerLayer(ProductKeyLayer):
     """Feedforward replacement; all heads share one expert pool and index."""
 
     prefix = "peer"
 
-    def __init__(self, config: PeerConfig, index: ProductKeyIndex, query_nets: list[Tensor], bn: BNState | None, experts: ExpertStore):
+    def __init__(
+        self,
+        config: PeerConfig,
+        index: ProductKeyIndex,
+        query_nets: list[Tensor],
+        bn: BNState | None,
+        w_down: Tensor,  # [n_experts, d_model]
+        w_up: Tensor,  # [n_experts, d_model]
+        w_gate: Tensor | None = None,  # [n_experts, d_model], GLU variant only
+    ):
         super().__init__(config, index, query_nets, bn)
-        self.experts = experts
+        self.w_down, self.w_up, self.w_gate = w_down, w_up, w_gate
 
     @classmethod
     def build(cls, config: PeerConfig, seed: int = 0, dtype=np.float64) -> "PeerLayer":
@@ -84,19 +84,17 @@ class PeerLayer(ProductKeyLayer):
         down_std = 1.0 / math.sqrt(config.d_model)
         up_std = 1.0 / math.sqrt(config.heads * config.topk)
         shape = (config.n_experts, config.d_model)
-        experts = ExpertStore(
-            w_down=Tensor(T.normal_rows(rng, down_std, shape, dtype), requires_grad=True),
-            w_up=Tensor(T.normal_rows(rng, up_std, shape, dtype), requires_grad=True),
-            w_gate=Tensor(T.normal_rows(rng, down_std, shape, dtype), requires_grad=True) if config.glu else None,
-        )
-        return cls(config, index, query_nets, bn, experts)
+        w_down = Tensor(T.normal_rows(rng, down_std, shape, dtype), requires_grad=True)
+        w_up = Tensor(T.normal_rows(rng, up_std, shape, dtype), requires_grad=True)
+        w_gate = Tensor(T.normal_rows(rng, down_std, shape, dtype), requires_grad=True) if config.glu else None
+        return cls(config, index, query_nets, bn, w_down, w_up, w_gate)
 
     def named_parameters(self) -> dict[str, Tensor]:
         params = self.router_parameters()
-        params["peer.experts.down"] = self.experts.w_down
-        params["peer.experts.up"] = self.experts.w_up
-        if self.experts.w_gate is not None:
-            params["peer.experts.gate"] = self.experts.w_gate
+        params["peer.experts.down"] = self.w_down
+        params["peer.experts.up"] = self.w_up
+        if self.w_gate is not None:
+            params["peer.experts.gate"] = self.w_gate
         return params
 
     def forward(self, x: Tensor, mode: str = "infer"):
@@ -115,35 +113,12 @@ def peer_forward(layer: PeerLayer, x: Tensor, mode: str = "infer") -> tuple[Tens
     activation = T.ACTIVATIONS[cfg.activation]
 
     def experts(x: Tensor, idx: np.ndarray, weights: Tensor) -> Tensor:
-        act = activation(T.gather_dot(x, layer.experts.w_down, idx))
-        if layer.experts.w_gate is not None:
-            act = T.mul(act, T.gather_dot(x, layer.experts.w_gate, idx))
-        return T.gather_weighted_sum(T.mul(weights, act), layer.experts.w_up, idx)
+        act = activation(T.gather_dot(x, layer.w_down, idx))
+        if layer.w_gate is not None:
+            act = T.mul(act, T.gather_dot(x, layer.w_gate, idx))
+        return T.gather_weighted_sum(T.mul(weights, act), layer.w_up, idx)
 
     return layer.route(x, mode, experts)
-
-
-def peer_backward(layer: PeerLayer, x: Tensor, upstream, mode: str = "train") -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Run a recorded forward and pull gradients back from `upstream` (dL/dy).
-
-    Returns ({parameter name: gradient}, dL/dx). Expert rows outside the
-    retrieved set come back as exact zeros.
-    """
-    params = layer.named_parameters()
-    for p in params.values():
-        p.zero_grad()
-    x.zero_grad()
-    had_grad = x.requires_grad
-    x.requires_grad = True
-    try:
-        with T.Tape() as tape:
-            y, _ = peer_forward(layer, x, mode=mode)
-            tape.backward(y, grad=upstream)
-    finally:
-        x.requires_grad = had_grad
-    grads = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data)) for name, p in params.items()}
-    x_grad = x.grad.copy() if x.grad is not None else np.zeros_like(x.data)
-    return grads, x_grad
 
 
 def assemble_dense_equivalent(layer: PeerLayer, x: Tensor, mode: str = "infer") -> tuple[np.ndarray, np.ndarray]:
@@ -159,15 +134,15 @@ def assemble_dense_equivalent(layer: PeerLayer, x: Tensor, mode: str = "infer") 
         raise ValueError(f"dense equivalent requires topk=1, got topk={cfg.topk}")
     if cfg.score_norm != "softmax_per_head":
         raise ValueError("dense equivalent requires softmax_per_head score normalization")
-    if layer.experts.w_gate is not None:
+    if layer.w_gate is not None:
         raise ValueError("dense equivalent is undefined for gated (GLU) experts")
     q = x.data if isinstance(x, Tensor) else np.asarray(x)
     if q.ndim != 1 or q.shape[0] != cfg.d_model:
         raise ValueError(f"expected a single token of dim {cfg.d_model}, got shape {q.shape}")
     _, routing = peer_forward(layer, Tensor(q[None, :], dtype=q.dtype), mode=mode)
     ids = routing.indices[0, :, 0]
-    w = layer.experts.w_down.data[ids].T.copy()  # [d_model, heads]
-    v = layer.experts.w_up.data[ids].T.copy()
+    w = layer.w_down.data[ids].T.copy()  # [d_model, heads]
+    v = layer.w_up.data[ids].T.copy()
     return w, v
 
 

@@ -332,8 +332,7 @@ class ProductKeyLayer:
         rows the payload reads only.
         """
         cfg = self.config
-        if mode not in ("train", "infer"):
-            raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
+        check_choice("mode", mode, ("train", "infer"))
         if x.data.ndim != 2:
             raise ValueError(f"expected token rows [tokens, d_model], got shape {x.data.shape}")
         m, d_model = x.data.shape

@@ -53,7 +53,7 @@ def isoflop_sweep(
     plan = []
     for method in methods:
         for d_model in d_models:
-            mc = model_config_from_flat(cfg, method=method, d_model=d_model, d_ff=4 * d_model)
+            mc = model_config_from_flat({**cfg, "model.middle_layer": method, "model.d_model": d_model, "model.d_ff": 4 * d_model})
             step_macs = analysis.model_train_step_macs(mc, train_cfg.batch)
             steps = budget // step_macs
             plan.append((method, d_model, mc, steps))
@@ -75,7 +75,7 @@ def isoflop_sweep(
         model = build_model(mc)
         train(model, corpus, replace(train_cfg, steps=steps, warmup=min(train_cfg.warmup, steps)))
         ppl = evaluate_perplexity(model, corpus)
-        counts = analysis.param_counts(mc.middle_config, bias_accounting=bias_accounting)
+        counts = mc.middle_config.param_counts(bias_accounting)
         backbone = model.n_params() - counts.total
         results.append(
             SweepResult(

@@ -275,18 +275,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _register(out, a.requires_grad or b.requires_grad, backward)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data - b.data)
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g, b.data.shape))
-
-    return _register(out, a.requires_grad or b.requires_grad, backward)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
 
@@ -1000,18 +988,13 @@ def top_k(values, k: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def grad_check(f, params, step: float = 1e-5, max_coords: int = 16, seed: int = 0) -> float:
-    """Max relative error between tape gradients of scalar f() and central differences.
+def grad_check(f, named_params: dict, step: float = 1e-5, max_coords: int = 16, seed: int = 0) -> dict:
+    """Per-parameter max relative error between tape gradients of scalar f()
+    and central differences: {name: error}, one tape pass first.
 
     Error per sampled coordinate is |analytic - numeric| / max(1, |analytic|).
-    `f` must be a deterministic scalar function of the `params` tensors.
+    `f` must be a deterministic scalar function of the `named_params` tensors.
     """
-    errors = grad_check_detail(f, {i: p for i, p in enumerate(params)}, step=step, max_coords=max_coords, seed=seed)
-    return max(errors.values()) if errors else 0.0
-
-
-def grad_check_detail(f, named_params: dict, step: float = 1e-5, max_coords: int = 16, seed: int = 0) -> dict:
-    """Per-parameter max relative error; one tape pass, then central differences."""
     params = list(named_params.values())
     for p in params:
         if not p.requires_grad:

@@ -269,6 +269,8 @@ def evaluate_perplexity(model: Model, corpus: Corpus, max_windows: int | None = 
     """
     windows = corpus.val_windows(model.config.seq_len)
     if max_windows is not None:
+        if max_windows < 1:
+            raise ValueError(f"max_windows must be >= 1, got {max_windows}")
         windows = windows[:max_windows]
     if not windows:
         raise ValueError("validation split is empty (no full windows)")

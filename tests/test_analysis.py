@@ -12,7 +12,6 @@ from peer_lab.analysis import (
     mac_per_token,
     measured_mac_per_token,
     model_param_macs_per_token,
-    param_counts,
 )
 from peer_lab.baselines import DenseConfig, DenseFFW, MoeConfig, MoeLayer, PkmConfig, PkmLayer
 from peer_lab.model import Model, ModelConfig
@@ -23,20 +22,20 @@ from peer_lab.tensor import MacMeter
 class TestParamCounts:
     def test_single_neuron_expert_with_bias_slot(self):
         cfg = PeerConfig(n_experts=1024**2, heads=8, topk=16, d_model=256, query_dim=8)
-        counts = param_counts(cfg)
+        counts = cfg.param_counts()
         assert counts.expert == 2 * 256 + 1 == 513
         assert counts.active == 513 * 128
         assert counts.granularity == 128 == cfg.granularity
 
     def test_bias_accounting_flag(self):
         cfg = PeerConfig(n_experts=16, heads=2, topk=2, d_model=10, query_dim=4)
-        counts = param_counts(cfg, bias_accounting=False)
+        counts = cfg.param_counts(bias_accounting=False)
         assert counts.expert == 20
         assert counts.active == 20 * 4
         assert counts.granularity == 4.0
 
     def test_dense_all_params_active(self):
-        counts = param_counts(DenseConfig(d_model=16, d_ff=64))
+        counts = DenseConfig(d_model=16, d_ff=64).param_counts()
         assert counts.total == counts.active == 2 * 16 * 64
 
     def test_peer_total_enumerates_every_tensor(self):
@@ -44,21 +43,21 @@ class TestParamCounts:
         layer = PeerLayer.build(cfg, seed=0)
         serialized = sum(p.data.size for p in layer.named_parameters().values())
         serialized += sum(a.size for a in layer.named_state().values())
-        assert param_counts(cfg).total == serialized
+        assert cfg.param_counts().total == serialized
 
     def test_pkm_total_enumerates_every_tensor(self):
         cfg = PkmConfig(n_memories=64, heads=2, topk=2, d_model=8, query_dim=4, query_bn=True)
         layer = PkmLayer.build(cfg, seed=0)
         serialized = sum(p.data.size for p in layer.named_parameters().values())
         serialized += sum(a.size for a in layer.named_state().values())
-        assert param_counts(cfg).total == serialized
+        assert cfg.param_counts().total == serialized
 
     def test_moe_total_enumerates_every_tensor(self):
         cfg = MoeConfig(n_experts=3, d_model=8, d_ff=16, granularity=2)
         layer = MoeLayer.build(cfg, seed=0)
         serialized = sum(p.data.size for p in layer.named_parameters().values())
-        assert param_counts(cfg).total == serialized
-        assert param_counts(cfg).granularity == 2.0
+        assert cfg.param_counts().total == serialized
+        assert cfg.param_counts().granularity == 2.0
 
 
 class TestMacPerToken:

@@ -64,7 +64,7 @@ class TestDense:
 
         params = dict(layer.named_parameters())
         params["x"] = x
-        errors = T.grad_check_detail(f, params, seed=2)
+        errors = T.grad_check(f, params, seed=2)
         assert max(errors.values()) <= 1e-3
 
 
@@ -182,7 +182,7 @@ class TestPkm:
 
         params = dict(layer.named_parameters())
         params["x"] = x
-        errors = T.grad_check_detail(f, params, step=1e-5, max_coords=6, seed=3)
+        errors = T.grad_check(f, params, step=1e-5, max_coords=6, seed=3)
         assert max(errors.values()) <= 1e-3
 
 
@@ -281,7 +281,7 @@ class TestExpertChoice:
 
         params = dict(layer.named_parameters())
         params["x"] = x
-        errors = T.grad_check_detail(f, params, step=1e-5, max_coords=6, seed=4)
+        errors = T.grad_check(f, params, step=1e-5, max_coords=6, seed=4)
         assert max(errors.values()) <= 1e-3
 
 

@@ -150,7 +150,7 @@ class TestSweep:
     def test_tiny_sweep_csv(self, tmp_path, capsys):
         base = parse_config(TINY)
         step_macs = max(
-            analysis.model_train_step_macs(model_config_from_flat(base, method=m, d_model=dm, d_ff=4 * dm), base["train.batch"])
+            analysis.model_train_step_macs(model_config_from_flat({**base, "model.middle_layer": m, "model.d_model": dm, "model.d_ff": 4 * dm}), base["train.batch"])
             for m in ("dense", "peer")
             for dm in (8, 16)
         )
@@ -180,7 +180,7 @@ class TestSweep:
         monkeypatch.setattr(sweep, "train", lambda model, corpus, tc: seen.append(tc))
         monkeypatch.setattr(sweep, "evaluate_perplexity", lambda model, corpus: 2.0)
         base = parse_config(TINY + "train.beta1=0.8\ntrain.beta2=0.95\ntrain.eps=1e-6\ntrain.seed=5\ntrain.warmup=1000\n")
-        step_macs = analysis.model_train_step_macs(model_config_from_flat(base, method="dense", d_model=8, d_ff=32), 4)
+        step_macs = analysis.model_train_step_macs(model_config_from_flat({**base, "model.middle_layer": "dense", "model.d_model": 8, "model.d_ff": 32}), 4)
         cfg = {**base, "sweep.budget_macs": 12 * step_macs, "sweep.methods": ("dense",), "sweep.d_models": (8,)}
         sweep.isoflop_sweep(cfg, Corpus.synthetic(20000, seed=0), tmp_path / "s", log=lambda *a: None)
         (tc,) = seen
@@ -201,8 +201,8 @@ class TestSweep:
 
     def test_steps_inverse_to_step_cost(self, tmp_path):
         base = parse_config(TINY)
-        mc_small = model_config_from_flat(base, method="dense", d_model=8, d_ff=32)
-        mc_large = model_config_from_flat(base, method="dense", d_model=16, d_ff=64)
+        mc_small = model_config_from_flat({**base, "model.middle_layer": "dense", "model.d_model": 8, "model.d_ff": 32})
+        mc_large = model_config_from_flat({**base, "model.middle_layer": "dense", "model.d_model": 16, "model.d_ff": 64})
         m_small = analysis.model_train_step_macs(mc_small, base["train.batch"])
         m_large = analysis.model_train_step_macs(mc_large, base["train.batch"])
         budget = m_large * 11

@@ -114,7 +114,7 @@ class TestConfig:
         cfg = {**default_config(), **NON_DEFAULT}
         read = {}
         for kind in ("peer", "pkm", "moe"):
-            middle = model_config_from_flat(cfg, method=kind).middle_config
+            middle = model_config_from_flat({**cfg, "model.middle_layer": kind}).middle_config
             read.update({f"{kind}.{f.name}": getattr(middle, f.name) for f in fields(middle)})
         tc = dataclass_from_flat(TrainConfig, cfg, "train")
         read.update({f"train.{f.name}": getattr(tc, f.name) for f in fields(tc)})
@@ -166,12 +166,12 @@ class TestConfig:
     def test_middle_fields_outside_the_schema_take_the_model_dims(self):
         cfg = {**default_config(), "model.activation": "relu"}
         for kind, (config_cls, _) in MIDDLE_LAYERS.items():
-            mc = model_config_from_flat(cfg, method=kind, d_model=48, d_ff=192)
+            mc = model_config_from_flat({**cfg, "model.middle_layer": kind, "model.d_model": 48, "model.d_ff": 192})
             assert isinstance(mc.middle_config, config_cls)
             assert mc.middle_config.d_model == 48
-        assert model_config_from_flat(cfg, method="dense").middle_config == MIDDLE_LAYERS["dense"][0](64, 256, "relu")
-        assert model_config_from_flat(cfg, method="moe").middle_config.activation == "relu"
-        assert model_config_from_flat(cfg, method="peer").middle_config.activation == "gelu"  # peer.activation
+        assert model_config_from_flat({**cfg, "model.middle_layer": "dense"}).middle_config == MIDDLE_LAYERS["dense"][0](64, 256, "relu")
+        assert model_config_from_flat({**cfg, "model.middle_layer": "moe"}).middle_config.activation == "relu"
+        assert model_config_from_flat({**cfg, "model.middle_layer": "peer"}).middle_config.activation == "gelu"  # peer.activation
 
     def test_every_configurable_activation_has_an_op_and_no_other(self):
         assert set(T.ACTIVATIONS) == set(ACTIVATIONS)

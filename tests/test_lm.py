@@ -100,7 +100,7 @@ class TestBuildModel:
             else model.named_state()[n].size
             for n in layer_names
         )
-        assert layer_total == analysis.param_counts(model.config.middle_config).total
+        assert layer_total == model.config.middle_config.param_counts().total
 
     def test_middle_config_of_another_kind_rejected(self):
         with pytest.raises(ValueError, match="'pkm' needs a PkmConfig, got a middle_config of type DenseConfig"):
@@ -159,6 +159,12 @@ class TestForward:
             assert isinstance(routing, PeerRouting)
             assert routing.indices.shape == routing.weights.shape == (16, 2, 2)
             assert routing.n_experts == 64
+
+    @pytest.mark.parametrize("middle", ["dense", "pkm", "peer", "moe"])
+    def test_unknown_mode_fails_by_name_for_every_kind(self, middle):
+        model = build_model(tiny_config(middle))
+        with pytest.raises(ValueError, match=r"^mode must be one of \('train', 'infer'\), got 'eval'$"):
+            model.forward(np.zeros((1, 4), dtype=np.int64), mode="eval")
 
     @pytest.mark.parametrize("middle,nodes", [("peer", 47), ("pkm", 44), ("dense", 39), ("moe", 70)])
     def test_desk_loss_forward_tape_nodes(self, middle, nodes):
@@ -296,7 +302,8 @@ class TestTraining:
         model = build_model(tiny_config())
         model.lm_head.data[0, 0] = np.inf
         corpus = periodic_corpus()
-        with pytest.raises(TrainingDiverged, match="step"):
+        # the inf overflows on purpose, so numpy warns on the way to the abort
+        with pytest.warns(RuntimeWarning), pytest.raises(TrainingDiverged, match="step"):
             train(model, corpus, TrainConfig(steps=2, batch=4, lr=1e-3, seed=0))
 
     def test_resume_is_bitwise_identical(self, tmp_path):
@@ -456,6 +463,12 @@ class TestPerplexity:
         with pytest.raises(ValueError):
             evaluate_perplexity(model, corpus)
 
+    @pytest.mark.parametrize("max_windows", [0, -1])
+    def test_max_windows_below_one_fails_by_name(self, max_windows):
+        model = build_model(tiny_config())
+        with pytest.raises(ValueError, match=rf"^max_windows must be >= 1, got {max_windows}$"):
+            evaluate_perplexity(model, periodic_corpus(), max_windows=max_windows)
+
 
 class TestFullModelGradients:
     def test_tiny_model_finite_differences(self):
@@ -479,6 +492,6 @@ class TestFullModelGradients:
         def f():
             return model.loss(tokens, targets, mode="train")
 
-        errors = T.grad_check_detail(f, model.named_parameters(), step=1e-5, max_coords=4, seed=0)
+        errors = T.grad_check(f, model.named_parameters(), step=1e-5, max_coords=4, seed=0)
         for name, err in errors.items():
             assert err <= 1e-3, f"{name}: rel err {err}"
