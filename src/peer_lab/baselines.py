@@ -17,12 +17,11 @@ from .config import ACTIVATIONS, check_choice, check_sizes
 # where tools that time the layers (perfbench/spans.py) look for it.
 from .product_keys import (  # noqa: F401
     PeerRouting,
-    ProductKeyIndex,
     ProductKeyLayer,
     RouterConfig,
     retrieve_topk_batch,
 )
-from .tensor import BNState, Tensor
+from .tensor import Tensor
 
 
 # ---------------------------------------------------------------------------
@@ -51,18 +50,12 @@ class DenseConfig:
 class DenseFFW:
     """y = activation(x @ w_in) @ w_out, bias-free."""
 
-    def __init__(self, config: DenseConfig, w_in: Tensor, w_out: Tensor, prefix: str = "dense"):
-        self.config = config
-        self.w_in = w_in
-        self.w_out = w_out
-        self.prefix = prefix
-
-    @classmethod
-    def build(cls, config: DenseConfig, seed: int = 0, dtype=np.float64, prefix: str = "dense") -> "DenseFFW":
+    def __init__(self, config: DenseConfig, seed: int = 0, dtype=np.float64, prefix: str = "dense"):
         rng = np.random.default_rng(seed)
-        w_in = T.normal_rows(rng, 1.0 / math.sqrt(config.d_model), (config.d_model, config.d_ff), dtype)
-        w_out = T.normal_rows(rng, 1.0 / math.sqrt(config.d_ff), (config.d_ff, config.d_model), dtype)
-        return cls(config, Tensor(w_in, requires_grad=True), Tensor(w_out, requires_grad=True), prefix=prefix)
+        self.config = config
+        self.w_in = Tensor(T.normal_rows(rng, 1.0 / math.sqrt(config.d_model), (config.d_model, config.d_ff), dtype), requires_grad=True)
+        self.w_out = Tensor(T.normal_rows(rng, 1.0 / math.sqrt(config.d_ff), (config.d_ff, config.d_model), dtype), requires_grad=True)
+        self.prefix = prefix
 
     def named_parameters(self) -> dict[str, Tensor]:
         return {f"{self.prefix}.w_in": self.w_in, f"{self.prefix}.w_out": self.w_out}
@@ -105,18 +98,10 @@ class PkmLayer(ProductKeyLayer):
 
     prefix = "pkm"
 
-    def __init__(self, config: PkmConfig, index: ProductKeyIndex, query_nets: list[Tensor], bn: BNState | None, values: Tensor):
-        super().__init__(config, index, query_nets, bn)
-        self.values = values
-
-    @classmethod
-    def build(cls, config: PkmConfig, seed: int = 0, dtype=np.float64) -> "PkmLayer":
-        rng, index, query_nets, bn = cls.build_router(config, seed, dtype)
-        values = Tensor(
-            T.normal_rows(rng, 1.0 / math.sqrt(config.heads * config.topk), (config.n_memories, config.d_model), dtype),
-            requires_grad=True,
-        )
-        return cls(config, index, query_nets, bn, values)
+    def __init__(self, config: PkmConfig, seed: int = 0, dtype=np.float64):
+        rng = self.build_router(config, seed, dtype)
+        std = 1.0 / math.sqrt(config.heads * config.topk)
+        self.values = Tensor(T.normal_rows(rng, std, (config.n_memories, config.d_model), dtype), requires_grad=True)
 
     def named_parameters(self) -> dict[str, Tensor]:
         params = self.router_parameters()
@@ -167,18 +152,12 @@ class MoeConfig:
 class MoeLayer:
     """A softmax gate over full-size dense experts; each token runs through its top-`granularity`."""
 
-    def __init__(self, config: MoeConfig, gate: Tensor, experts: list[DenseFFW]):
-        self.config = config
-        self.gate = gate
-        self.experts = experts
-
-    @classmethod
-    def build(cls, config: MoeConfig, seed: int = 0, dtype=np.float64) -> "MoeLayer":
+    def __init__(self, config: MoeConfig, seed: int = 0, dtype=np.float64):
         rng = np.random.default_rng(seed)
-        gate = Tensor(T.normal_rows(rng, 1.0 / math.sqrt(config.d_model), (config.d_model, config.n_experts), dtype), requires_grad=True)
+        self.config = config
+        self.gate = Tensor(T.normal_rows(rng, 1.0 / math.sqrt(config.d_model), (config.d_model, config.n_experts), dtype), requires_grad=True)
         expert_cfg = DenseConfig(d_model=config.d_model, d_ff=config.d_ff, activation=config.activation)
-        experts = [DenseFFW.build(expert_cfg, seed=seed + 1 + e, dtype=dtype, prefix=f"moe.expert{e}") for e in range(config.n_experts)]
-        return cls(config, gate, experts)
+        self.experts = [DenseFFW(expert_cfg, seed=seed + 1 + e, dtype=dtype, prefix=f"moe.expert{e}") for e in range(config.n_experts)]
 
     def named_parameters(self) -> dict[str, Tensor]:
         params = {"moe.gate": self.gate}
@@ -202,10 +181,11 @@ def moe_forward(layer: MoeLayer, x: Tensor) -> Tensor:
     """
     scores = T.softmax(T.matmul(x, layer.gate))  # [m, n_experts]
     picks, _ = T.top_k(scores, layer.config.granularity)  # [m, granularity]
+    flat_scores = T.reshape(scores, (-1, 1))  # row t*n_experts + e: token t's score for expert e
     y = Tensor(np.zeros_like(x.data))  # zero base carried through scatter adds
     for e, expert in enumerate(layer.experts):
         token_idx = np.flatnonzero((picks == e).any(axis=1))
         out = dense_forward(expert, T.gather_rows(x, token_idx))
-        picked_scores = T.gather_rows(T.col_slice(scores, e, e + 1), token_idx)  # [tokens, 1]
+        picked_scores = T.gather_rows(flat_scores, token_idx * layer.config.n_experts + e)  # [tokens, 1]
         y = T.scatter_rows_add(y, token_idx, T.mul(out, picked_scores))
     return y

@@ -14,6 +14,7 @@ from typing import Any, Callable
 ACTIVATIONS = ("relu", "gelu")  # the activations a feedforward layer may be configured with
 DTYPES = ("float32", "float64")
 SCORE_NORMS = ("softmax_per_head", "sigmoid")  # how a product-key router normalizes its retrieved scores
+MODES = ("train", "infer")  # a forward pass uses batch statistics (train) or running ones (infer)
 
 
 def check_choice(field: str, value, options: tuple) -> None:

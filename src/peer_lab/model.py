@@ -17,17 +17,17 @@ import numpy as np
 from . import tensor as T
 from .baselines import DenseConfig, DenseFFW, MoeConfig, MoeLayer, PkmConfig, PkmLayer
 from .checkpoint import checked_entry
-from .config import ACTIVATIONS, DTYPES, check_choice, check_sizes, dataclass_from_flat
+from .config import ACTIVATIONS, DTYPES, MODES, check_choice, check_sizes, dataclass_from_flat
 from .peer import PeerConfig, PeerLayer
 from .tensor import Tensor
 
 VOCAB = 256
 
 # middle-layer kind -> (config class, layer class). A config carries its own
-# mac_per_token() and param_counts(); a layer class has build(config, seed,
-# dtype), named_parameters(), named_state() and forward(x, mode): token rows
-# [tokens, d_model] -> (rows, routing echo or None). Flat config keys of a
-# kind are "<kind>.<field>".
+# mac_per_token() and param_counts(); a layer class is built as (config, seed,
+# dtype), drawing its own parameters, and has named_parameters(), named_state()
+# and forward(x, mode): token rows [tokens, d_model] -> (rows, routing echo or
+# None). Flat config keys of a kind are "<kind>.<field>".
 MIDDLE_LAYERS = {
     "dense": (DenseConfig, DenseFFW),
     "pkm": (PkmConfig, PkmLayer),
@@ -150,9 +150,9 @@ class Model:
         for i in range(config.n_blocks):
             ffw_config = config.ffw_config(i)
             if i == config.middle_index:
-                ffw = MIDDLE_LAYERS[config.middle_layer][1].build(ffw_config, seed=middle_seed, dtype=dtype)
+                ffw = MIDDLE_LAYERS[config.middle_layer][1](ffw_config, seed=middle_seed, dtype=dtype)
             else:
-                ffw = DenseFFW.build(ffw_config, seed=int(backbone_rng.integers(0, 2**31 - 1)), dtype=dtype, prefix=f"block{i}.ffw")
+                ffw = DenseFFW(ffw_config, seed=int(backbone_rng.integers(0, 2**31 - 1)), dtype=dtype, prefix=f"block{i}.ffw")
             self.blocks.append(Block(i, d, config.n_attn_heads, ffw, backbone_rng, dtype))
 
         self.lnf_scale = Tensor(np.ones(d, dtype=dtype), requires_grad=True)
@@ -190,7 +190,7 @@ class Model:
     def forward(self, tokens: np.ndarray, mode: str = "infer"):
         """tokens [batch, time] -> (logits Tensor [batch*time, vocab], the
         middle layer's routing echo, or None for a dense or MoE middle)."""
-        check_choice("mode", mode, ("train", "infer"))
+        check_choice("mode", mode, MODES)
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
             raise ValueError(f"tokens must be [batch, time], got shape {tokens.shape}")

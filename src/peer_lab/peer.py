@@ -25,12 +25,11 @@ from .config import ACTIVATIONS, check_choice
 # where tools that time the layers (perfbench/spans.py) look for it.
 from .product_keys import (  # noqa: F401
     PeerRouting,
-    ProductKeyIndex,
     ProductKeyLayer,
     RouterConfig,
     retrieve_topk_batch,
 )
-from .tensor import BNState, Tensor
+from .tensor import Tensor
 
 
 @dataclass
@@ -65,29 +64,14 @@ class PeerLayer(ProductKeyLayer):
 
     prefix = "peer"
 
-    def __init__(
-        self,
-        config: PeerConfig,
-        index: ProductKeyIndex,
-        query_nets: list[Tensor],
-        bn: BNState | None,
-        w_down: Tensor,  # [n_experts, d_model]
-        w_up: Tensor,  # [n_experts, d_model]
-        w_gate: Tensor | None = None,  # [n_experts, d_model], GLU variant only
-    ):
-        super().__init__(config, index, query_nets, bn)
-        self.w_down, self.w_up, self.w_gate = w_down, w_up, w_gate
-
-    @classmethod
-    def build(cls, config: PeerConfig, seed: int = 0, dtype=np.float64) -> "PeerLayer":
-        rng, index, query_nets, bn = cls.build_router(config, seed, dtype)
+    def __init__(self, config: PeerConfig, seed: int = 0, dtype=np.float64):
+        rng = self.build_router(config, seed, dtype)
         down_std = 1.0 / math.sqrt(config.d_model)
         up_std = 1.0 / math.sqrt(config.heads * config.topk)
-        shape = (config.n_experts, config.d_model)
-        w_down = Tensor(T.normal_rows(rng, down_std, shape, dtype), requires_grad=True)
-        w_up = Tensor(T.normal_rows(rng, up_std, shape, dtype), requires_grad=True)
-        w_gate = Tensor(T.normal_rows(rng, down_std, shape, dtype), requires_grad=True) if config.glu else None
-        return cls(config, index, query_nets, bn, w_down, w_up, w_gate)
+        shape = (config.n_experts, config.d_model)  # one row per expert; a gate row only with GLU
+        self.w_down = Tensor(T.normal_rows(rng, down_std, shape, dtype), requires_grad=True)
+        self.w_up = Tensor(T.normal_rows(rng, up_std, shape, dtype), requires_grad=True)
+        self.w_gate = Tensor(T.normal_rows(rng, down_std, shape, dtype), requires_grad=True) if config.glu else None
 
     def named_parameters(self) -> dict[str, Tensor]:
         params = self.router_parameters()

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .config import SCORE_NORMS, check_choice, check_sizes
+from .config import MODES, SCORE_NORMS, check_choice, check_sizes
 from .tensor import BNState, Tensor, count_macs, top_k
 
 
@@ -271,39 +271,26 @@ class RouterConfig:
 class ProductKeyLayer:
     """Query networks, an optional query BN and a product-key index.
 
-    A subclass sets `prefix` (the parameter-name prefix) and reads a payload
-    at the ids `route` retrieves. `index`, `query_nets` and `bn` are read on
-    every forward, so they may be reassigned, e.g. to share one index.
+    A subclass sets `prefix` (the parameter-name prefix); its constructor
+    calls `build_router` first, then draws the payload it reads at the ids
+    `route` retrieves. `index`, `query_nets` and `bn` are read on every
+    forward, so they may be reassigned, e.g. to share one index.
     """
 
     prefix = ""
 
-    def __init__(self, config: RouterConfig, index: ProductKeyIndex, query_nets: list[Tensor], bn: BNState | None):
-        if index.n_experts != config.n_keys or index.key_dim != config.query_dim:
-            raise ValueError(
-                f"index ({index.n_experts} keys, key dim {index.key_dim}) does not match "
-                f"config ({config.keys_field}={config.n_keys}, query dim {config.query_dim})"
-            )
-        if len(query_nets) != config.heads:
-            raise ValueError(f"expected {config.heads} query networks, got {len(query_nets)}")
-        if config.query_bn and bn is None:
-            raise ValueError("config.query_bn is set but no BN state was provided")
-        self.config = config
-        self.index = index
-        self.query_nets = query_nets
-        self.bn = bn
-
-    @staticmethod
-    def build_router(config: RouterConfig, seed: int, dtype) -> tuple[np.random.Generator, ProductKeyIndex, list[Tensor], BNState | None]:
-        """A fresh index, query nets and BN, and the generator the payload is drawn from next."""
+    def build_router(self, config: RouterConfig, seed: int, dtype) -> np.random.Generator:
+        """Set `config` and a fresh index, query nets and BN; return the
+        generator the payload is drawn from next."""
         rng = np.random.default_rng(seed)
-        index = build_index(config.n_keys, config.query_dim, seed=seed, dtype=dtype)
-        query_nets = [
+        self.config = config
+        self.index = build_index(config.n_keys, config.query_dim, seed=seed, dtype=dtype)
+        self.query_nets = [
             Tensor(T.normal_rows(rng, 1.0 / math.sqrt(config.d_model), (config.d_model, config.query_dim), dtype), requires_grad=True)
             for _ in range(config.heads)
         ]
-        bn = BNState.create(config.query_dim, dtype=dtype) if config.query_bn else None
-        return rng, index, query_nets, bn
+        self.bn = BNState(config.query_dim, dtype=dtype) if config.query_bn else None
+        return rng
 
     def router_parameters(self) -> dict[str, Tensor]:
         p = self.prefix
@@ -332,7 +319,7 @@ class ProductKeyLayer:
         rows the payload reads only.
         """
         cfg = self.config
-        check_choice("mode", mode, ("train", "infer"))
+        check_choice("mode", mode, MODES)
         if x.data.ndim != 2:
             raise ValueError(f"expected token rows [tokens, d_model], got shape {x.data.shape}")
         m, d_model = x.data.shape

@@ -30,6 +30,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.special import erf
 
+from .config import MODES, check_choice
+
 DEFAULT_DTYPE = np.float64
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -470,19 +472,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _register(out, a.requires_grad, backward)
 
 
-def col_slice(a: Tensor, start: int, stop: int) -> Tensor:
-    """Slice [start:stop] along the last axis; backward pads with zeros."""
-    out = Tensor(a.data[..., start:stop])
-
-    def backward(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[..., start:stop] = g
-            _accum(a, full)
-
-    return _register(out, a.requires_grad, backward)
-
-
 def row_slice(a: Tensor, start: int, stop: int) -> Tensor:
     """Slice [start:stop] along the first axis; backward pads with zeros."""
     out = Tensor(a.data[start:stop])
@@ -830,27 +819,16 @@ def scatter_rows_add(base: Tensor, idx, rows: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class BNState:
     """Batch-norm parameters and running statistics for one feature axis."""
 
-    scale: Tensor
-    shift: Tensor
-    running_mean: np.ndarray
-    running_var: np.ndarray
-    momentum: float = 0.99
-    eps: float = 1e-5
-
-    @classmethod
-    def create(cls, dim: int, dtype=DEFAULT_DTYPE, momentum: float = 0.99, eps: float = 1e-5) -> "BNState":
-        return cls(
-            scale=Tensor(np.ones(dim, dtype=dtype), requires_grad=True),
-            shift=Tensor(np.zeros(dim, dtype=dtype), requires_grad=True),
-            running_mean=np.zeros(dim, dtype=dtype),
-            running_var=np.ones(dim, dtype=dtype),
-            momentum=momentum,
-            eps=eps,
-        )
+    def __init__(self, dim: int, dtype=DEFAULT_DTYPE, momentum: float = 0.99, eps: float = 1e-5):
+        self.scale = Tensor(np.ones(dim, dtype=dtype), requires_grad=True)
+        self.shift = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
+        self.running_mean = np.zeros(dim, dtype=dtype)
+        self.running_var = np.ones(dim, dtype=dtype)
+        self.momentum = momentum
+        self.eps = eps
 
 
 def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, axis: int | None = None, stats=None):
@@ -907,8 +885,7 @@ def batch_norm(x: Tensor, state: BNState, mode: str) -> Tensor:
     """
     if x.data.ndim != 2:
         raise ValueError(f"batch_norm expects x [n,d], got shape {x.data.shape}")
-    if mode not in ("train", "infer"):
-        raise ValueError(f"batch_norm mode must be 'train' or 'infer', got {mode!r}")
+    check_choice("mode", mode, MODES)
     if mode == "infer":
         return _normalize(x, state.scale, state.shift, state.eps, stats=(state.running_mean, state.running_var))[0]
     if x.data.shape[0] < 2:

@@ -222,11 +222,16 @@ def train(
     config_text: str = "",
     log_every: int = 0,
 ) -> tuple[TrainState, list[dict]]:
-    """Run cfg.steps optimization steps (continuing from `state` if given)."""
+    """Run cfg.steps optimization steps (continuing from `state` if given).
+
+    A `state` already at cfg.steps or past it is an error, raised before any
+    file is written."""
     if cfg.steps < 1:
         raise ValueError(f"steps must be >= 1, got {cfg.steps}")
     if state is None:
         state = init_train_state(model, cfg)
+    if state.step >= cfg.steps:
+        raise ValueError(f"the run is already at step {state.step}, and steps is {cfg.steps}: no step is left to train")
     rows: list[dict] = []
     metrics_file = None
     if metrics_path is not None:

@@ -105,7 +105,7 @@ def test_c3_single_expert_heads_equal_assembled_mlp():
                 activation="gelu" if seed % 2 == 0 else "relu",
                 query_bn=(seed % 3 == 0),
             )
-            layer = PeerLayer.build(cfg, seed=seed)
+            layer = PeerLayer(cfg, seed=seed)
             rng = np.random.default_rng(1000 * heads + seed)
             x = rng.normal(size=16)
             y, _ = peer_forward(layer, Tensor(x[None, :]), mode="infer")
@@ -191,7 +191,7 @@ def test_c5_dense_oracle_equivalence():
             query_bn=(seed % 3 == 0),
             glu=(seed % 5 == 0),
         )
-        layer = PeerLayer.build(cfg, seed=seed)
+        layer = PeerLayer(cfg, seed=seed)
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(4, 8))
         y, routing = peer_forward(layer, Tensor(x), mode="train")
@@ -210,7 +210,7 @@ def test_c5_dense_oracle_equivalence():
             query_dim=8,
             query_bn=(seed % 2 == 0),
         )
-        layer = PkmLayer.build(cfg, seed=seed)
+        layer = PkmLayer(cfg, seed=seed)
         rng = np.random.default_rng(1000 + seed)
         x = rng.normal(size=(4, 8))
         y, routing = pkm_forward(layer, Tensor(x), mode="train")

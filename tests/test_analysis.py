@@ -40,21 +40,21 @@ class TestParamCounts:
 
     def test_peer_total_enumerates_every_tensor(self):
         cfg = PeerConfig(n_experts=64, heads=2, topk=2, d_model=8, query_dim=4, query_bn=True, glu=True)
-        layer = PeerLayer.build(cfg, seed=0)
+        layer = PeerLayer(cfg, seed=0)
         serialized = sum(p.data.size for p in layer.named_parameters().values())
         serialized += sum(a.size for a in layer.named_state().values())
         assert cfg.param_counts().total == serialized
 
     def test_pkm_total_enumerates_every_tensor(self):
         cfg = PkmConfig(n_memories=64, heads=2, topk=2, d_model=8, query_dim=4, query_bn=True)
-        layer = PkmLayer.build(cfg, seed=0)
+        layer = PkmLayer(cfg, seed=0)
         serialized = sum(p.data.size for p in layer.named_parameters().values())
         serialized += sum(a.size for a in layer.named_state().values())
         assert cfg.param_counts().total == serialized
 
     def test_moe_total_enumerates_every_tensor(self):
         cfg = MoeConfig(n_experts=3, d_model=8, d_ff=16, granularity=2)
-        layer = MoeLayer.build(cfg, seed=0)
+        layer = MoeLayer(cfg, seed=0)
         serialized = sum(p.data.size for p in layer.named_parameters().values())
         assert cfg.param_counts().total == serialized
         assert cfg.param_counts().granularity == 2.0
@@ -77,12 +77,12 @@ class TestMacPerToken:
         assert mac_per_token(cfg) - retrieval_and_query == 2 * 64 * 16 == 2048
 
     @pytest.mark.parametrize("build,cfg", [
-        (DenseFFW.build, DenseConfig(d_model=8, d_ff=32)),
-        (PeerLayer.build, PeerConfig(n_experts=64, heads=2, topk=2, d_model=8, query_dim=4, query_bn=True)),
-        (PeerLayer.build, PeerConfig(n_experts=256, heads=3, topk=5, d_model=16, query_dim=8, glu=True, query_bn=False)),
-        (PkmLayer.build, PkmConfig(n_memories=64, heads=2, topk=2, d_model=8, query_dim=4)),
-        (MoeLayer.build, MoeConfig(n_experts=4, d_model=8, d_ff=16, granularity=2)),
-    ])
+        (DenseFFW, DenseConfig(d_model=8, d_ff=32)),
+        (PeerLayer, PeerConfig(n_experts=64, heads=2, topk=2, d_model=8, query_dim=4, query_bn=True)),
+        (PeerLayer, PeerConfig(n_experts=256, heads=3, topk=5, d_model=16, query_dim=8, glu=True, query_bn=False)),
+        (PkmLayer, PkmConfig(n_memories=64, heads=2, topk=2, d_model=8, query_dim=4)),
+        (MoeLayer, MoeConfig(n_experts=4, d_model=8, d_ff=16, granularity=2)),
+    ], ids=lambda v: "build" if isinstance(v, type) else None)  # a case is named by its config's index
     def test_formula_equals_live_instrumented_count(self, build, cfg):
         layer = build(cfg, seed=0)
         for n_tokens in (7, 10, 64):  # exact per token at counts that split unevenly over experts too

@@ -65,6 +65,14 @@ class TestTrainEval:
         lines = (out2 / "metrics.csv").read_text().strip().splitlines()
         assert len(lines) == 6  # five new rows appended after the header
 
+    def test_resume_of_a_finished_run_fails_before_writing(self, tiny_cfg, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["train", "--config", str(tiny_cfg), "--out-dir", str(out)])
+        out2 = tmp_path / "run2"
+        with pytest.raises(ValueError, match=r"^the run is already at step 5, and steps is 5: "):
+            main(["train", "--config", str(tiny_cfg), "--out-dir", str(out2), "--resume", str(out / "checkpoint.bin")])
+        assert list(out2.iterdir()) == []
+
 
 class TestRetrieveBench:
     def test_csv_shape_and_matches(self, tmp_path):

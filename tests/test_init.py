@@ -89,8 +89,8 @@ def build_peak_over_held(build) -> tuple[int, int]:
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: PeerLayer.build(PeerConfig(n_experts=1 << 16, d_model=64), dtype=np.float32),
-        lambda: PkmLayer.build(PkmConfig(n_memories=1 << 16, d_model=64), dtype=np.float32),
+        lambda: PeerLayer(PeerConfig(n_experts=1 << 16, d_model=64), dtype=np.float32),
+        lambda: PkmLayer(PkmConfig(n_memories=1 << 16, d_model=64), dtype=np.float32),
     ],
     ids=["peer", "pkm"],
 )

@@ -166,7 +166,7 @@ class TestForward:
         with pytest.raises(ValueError, match=r"^mode must be one of \('train', 'infer'\), got 'eval'$"):
             model.forward(np.zeros((1, 4), dtype=np.int64), mode="eval")
 
-    @pytest.mark.parametrize("middle,nodes", [("peer", 47), ("pkm", 44), ("dense", 39), ("moe", 70)])
+    @pytest.mark.parametrize("middle,nodes", [("peer", 47), ("pkm", 44), ("dense", 39), ("moe", 67)])
     def test_desk_loss_forward_tape_nodes(self, middle, nodes):
         model = build_model(model_config_from_flat({**default_config(), "model.middle_layer": middle}))
         tokens = np.random.default_rng(0).integers(0, 256, size=(2, 8))

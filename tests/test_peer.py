@@ -14,7 +14,6 @@ from peer_lab.peer import (
     peer_forward,
     record_usage,
 )
-from peer_lab.product_keys import build_index
 from peer_lab.tensor import Tensor
 
 
@@ -99,17 +98,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             PeerConfig(n_experts=16, heads=1, topk=5, d_model=8, query_dim=4)
 
-    def test_index_mismatch_errors(self):
-        cfg = PeerConfig(n_experts=16, heads=1, topk=1, d_model=8, query_dim=4, query_bn=False)
-        layer = PeerLayer.build(cfg, seed=0)
-        with pytest.raises(ValueError):
-            PeerLayer(cfg, build_index(64, 4, seed=0), layer.query_nets, None, layer.w_down, layer.w_up)
-
 
 class TestForward:
     def test_single_head_single_expert_softmax_weight_is_one(self):
         cfg = PeerConfig(n_experts=16, heads=1, topk=1, d_model=8, query_dim=4, activation="relu", query_bn=False)
-        layer = PeerLayer.build(cfg, seed=0)
+        layer = PeerLayer(cfg, seed=0)
         rng = np.random.default_rng(0)
         x = rng.normal(size=8)
         y, routing = peer_forward(layer, Tensor(x[None, :]))
@@ -121,7 +114,7 @@ class TestForward:
     @pytest.mark.parametrize("heads", [1, 2, 4])
     def test_topk1_equals_assembled_mlp(self, heads):
         cfg = PeerConfig(n_experts=64, heads=heads, topk=1, d_model=8, query_dim=4, activation="gelu", query_bn=True)
-        layer = PeerLayer.build(cfg, seed=heads)
+        layer = PeerLayer(cfg, seed=heads)
         rng = np.random.default_rng(heads)
         x = rng.normal(size=8)
         y, _ = peer_forward(layer, Tensor(x[None, :]), mode="infer")
@@ -134,7 +127,7 @@ class TestForward:
     def test_topk1_assembled_identity_float32(self, heads):
         cfg = PeerConfig(n_experts=64, heads=heads, topk=1, d_model=8, query_dim=4, activation="gelu", query_bn=True)
         for seed in range(10):
-            layer = PeerLayer.build(cfg, seed=seed, dtype=np.float32)
+            layer = PeerLayer(cfg, seed=seed, dtype=np.float32)
             rng = np.random.default_rng(seed)
             x = rng.normal(size=8).astype(np.float32)
             y, _ = peer_forward(layer, Tensor(x[None, :], dtype=np.float32), mode="infer")
@@ -144,7 +137,7 @@ class TestForward:
 
     def test_two_tokens_can_assemble_different_networks(self):
         cfg = PeerConfig(n_experts=256, heads=2, topk=1, d_model=8, query_dim=8, query_bn=False)
-        layer = PeerLayer.build(cfg, seed=9)
+        layer = PeerLayer(cfg, seed=9)
         rng = np.random.default_rng(9)
         w1, _ = assemble_dense_equivalent(layer, Tensor(rng.normal(size=8)))
         w2, _ = assemble_dense_equivalent(layer, Tensor(rng.normal(size=8)))
@@ -152,7 +145,7 @@ class TestForward:
 
     def test_assemble_requires_topk1(self):
         cfg = PeerConfig(n_experts=16, heads=1, topk=2, d_model=8, query_dim=4, query_bn=False)
-        layer = PeerLayer.build(cfg, seed=0)
+        layer = PeerLayer(cfg, seed=0)
         with pytest.raises(ValueError, match="topk=1"):
             assemble_dense_equivalent(layer, Tensor(np.zeros(8)))
 
@@ -164,7 +157,7 @@ class TestForward:
             activation="gelu", score_norm=score_norm, query_bn=True, glu=glu,
         )
         for seed in range(8):
-            layer = PeerLayer.build(cfg, seed=seed)
+            layer = PeerLayer(cfg, seed=seed)
             rng = np.random.default_rng(seed + 100)
             x = rng.normal(size=(5, 16))
             y, routing = peer_forward(layer, Tensor(x), mode="train")
@@ -175,7 +168,7 @@ class TestForward:
     def test_small_random_config_matches_reference(self):
         cfg = PeerConfig(n_experts=16, heads=2, topk=2, d_model=4, query_dim=4, activation="relu", query_bn=False)
         for seed in range(20):
-            layer = PeerLayer.build(cfg, seed=seed)
+            layer = PeerLayer(cfg, seed=seed)
             rng = np.random.default_rng(seed)
             x = rng.normal(size=(3, 4))
             y, routing = peer_forward(layer, Tensor(x))
@@ -185,14 +178,14 @@ class TestForward:
 
     def test_per_head_softmax_weights_sum_to_one(self):
         cfg = PeerConfig(n_experts=64, heads=3, topk=4, d_model=8, query_dim=8, query_bn=True)
-        layer = PeerLayer.build(cfg, seed=2)
+        layer = PeerLayer(cfg, seed=2)
         rng = np.random.default_rng(2)
         _, routing = peer_forward(layer, Tensor(rng.normal(size=(6, 8))), mode="train")
         assert np.max(np.abs(routing.weights.sum(axis=-1) - 1.0)) <= 1e-12
 
     def test_active_neurons_per_token(self):
         cfg = PeerConfig(n_experts=64, heads=3, topk=4, d_model=8, query_dim=8, query_bn=False)
-        layer = PeerLayer.build(cfg, seed=3)
+        layer = PeerLayer(cfg, seed=3)
         rng = np.random.default_rng(3)
         _, routing = peer_forward(layer, Tensor(rng.normal(size=(5, 8))))
         assert routing.indices.shape == (5, 3, 4)
@@ -203,7 +196,7 @@ class TestForward:
 
     def test_infer_deterministic_bitwise(self):
         cfg = PeerConfig(n_experts=64, heads=2, topk=2, d_model=8, query_dim=8, query_bn=True)
-        layer = PeerLayer.build(cfg, seed=4)
+        layer = PeerLayer(cfg, seed=4)
         rng = np.random.default_rng(4)
         x = rng.normal(size=(4, 8))
         a, _ = peer_forward(layer, Tensor(x), mode="infer")
@@ -212,20 +205,20 @@ class TestForward:
 
     def test_batch_time_input_is_rejected(self):
         cfg = PeerConfig(n_experts=16, heads=1, topk=1, d_model=8, query_dim=4, query_bn=False)
-        layer = PeerLayer.build(cfg, seed=0)
+        layer = PeerLayer(cfg, seed=0)
         x3 = np.random.default_rng(0).normal(size=(2, 3, 8))
         with pytest.raises(ValueError, match=r"token rows \[tokens, d_model\], got shape \(2, 3, 8\)"):
             peer_forward(layer, Tensor(x3))
 
     def test_bn_train_single_token_errors(self):
         cfg = PeerConfig(n_experts=16, heads=2, topk=1, d_model=8, query_dim=4, query_bn=True)
-        layer = PeerLayer.build(cfg, seed=0)
+        layer = PeerLayer(cfg, seed=0)
         with pytest.raises(ValueError):
             peer_forward(layer, Tensor(np.zeros((1, 8))), mode="train")
 
     def test_glu_single_expert_hand_value(self):
         cfg = PeerConfig(n_experts=16, heads=1, topk=1, d_model=4, query_dim=4, activation="relu", query_bn=False, glu=True)
-        layer = PeerLayer.build(cfg, seed=5)
+        layer = PeerLayer(cfg, seed=5)
         rng = np.random.default_rng(5)
         x = rng.normal(size=4)
         y, routing = peer_forward(layer, Tensor(x[None, :]))
@@ -237,7 +230,7 @@ class TestForward:
 class TestBackward:
     def test_zero_upstream_zero_grads(self):
         cfg = PeerConfig(n_experts=64, heads=2, topk=2, d_model=8, query_dim=8, query_bn=True)
-        layer = PeerLayer.build(cfg, seed=0)
+        layer = PeerLayer(cfg, seed=0)
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(4, 8)))
         grads, x_grad = _peer_backward(layer, x, np.zeros((4, 8)))
@@ -246,7 +239,7 @@ class TestBackward:
 
     def test_single_expert_up_row_gradient_exact(self):
         cfg = PeerConfig(n_experts=16, heads=1, topk=1, d_model=8, query_dim=4, activation="relu", query_bn=False)
-        layer = PeerLayer.build(cfg, seed=1)
+        layer = PeerLayer(cfg, seed=1)
         rng = np.random.default_rng(1)
         x = rng.normal(size=8)
         upstream = rng.normal(size=(1, 8))
@@ -258,7 +251,7 @@ class TestBackward:
 
     def test_unretrieved_rows_bitwise_zero(self):
         cfg = PeerConfig(n_experts=256, heads=2, topk=3, d_model=8, query_dim=8, query_bn=True, glu=True)
-        layer = PeerLayer.build(cfg, seed=2)
+        layer = PeerLayer(cfg, seed=2)
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(size=(5, 8)))
         _, routing = peer_forward(layer, x, mode="train")
@@ -283,7 +276,7 @@ class TestBackward:
 
     def test_full_layer_finite_differences(self):
         cfg = PeerConfig(n_experts=16, heads=2, topk=2, d_model=8, query_dim=8, activation="gelu", query_bn=True, glu=True)
-        layer = PeerLayer.build(cfg, seed=3)
+        layer = PeerLayer(cfg, seed=3)
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(4, 8)))
         w = Tensor(rng.normal(size=(4, 8)))
@@ -317,7 +310,7 @@ class TestRecordUsage:
 
     def test_two_identical_tokens_double(self):
         cfg = PeerConfig(n_experts=16, heads=2, topk=2, d_model=8, query_dim=4, query_bn=False)
-        layer = PeerLayer.build(cfg, seed=6)
+        layer = PeerLayer(cfg, seed=6)
         rng = np.random.default_rng(6)
         x = rng.normal(size=8)
         _, r1 = peer_forward(layer, Tensor(x[None, :]))

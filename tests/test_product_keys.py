@@ -308,7 +308,7 @@ class TestTiledRetrieval:
 class TestRouter:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_scores_are_the_retrieval_scores(self, dtype, monkeypatch):
-        layer = PeerLayer.build(PeerConfig(n_experts=256, heads=2, topk=3, d_model=16, query_dim=16), seed=5, dtype=dtype)
+        layer = PeerLayer(PeerConfig(n_experts=256, heads=2, topk=3, d_model=16, query_dim=16), seed=5, dtype=dtype)
         x = Tensor(np.random.default_rng(5).normal(size=(24, 16)).astype(dtype), requires_grad=True)
         retrieved, normalized = [], []
         retrieve, softmax = product_keys.retrieve_topk_batch, T.softmax
@@ -338,7 +338,7 @@ class TestRouter:
     @pytest.mark.parametrize("layer_cls,config_cls", [(PeerLayer, PeerConfig), (PkmLayer, PkmConfig)])
     def test_recorded_forward_holds_no_gathered_rows(self, layer_cls, config_cls):
         # desk widths: d_model 64, 4 heads, top-4, query_dim 128, 4096 keys
-        layer = layer_cls.build(config_cls(), seed=0, dtype=np.float32)
+        layer = layer_cls(config_cls(), seed=0, dtype=np.float32)
         cfg, m, itemsize = layer.config, 512, 4
         x = Tensor(np.random.default_rng(0).normal(size=(m, cfg.d_model)).astype(np.float32), requires_grad=True)
         # one [tokens, heads*topk, d_model] gather, the unit a routed op would keep per table

@@ -89,27 +89,32 @@ class TestSoftmax:
 
 class TestBatchNorm:
     def test_two_point_column(self):
-        state = BNState.create(1)
+        state = BNState(1)
         out = T.batch_norm(Tensor([[1.0], [3.0]]), state, "train")
         assert np.allclose(out.data, [[-1.0], [1.0]], atol=1e-4)
 
     def test_infer_is_identity_with_unit_stats(self):
-        state = BNState.create(3)
+        state = BNState(3)
         x = np.array([[0.3, -1.2, 4.0]])
         out = T.batch_norm(Tensor(x), state, "infer")
         assert np.allclose(out.data, x, atol=1e-4)
 
     def test_constant_column_train_gives_zeros(self):
-        state = BNState.create(2)
+        state = BNState(2)
         out = T.batch_norm(Tensor([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]]), state, "train")
         assert np.all(out.data[:, 0] == 0.0)
 
     def test_batch_of_one_errors(self):
         with pytest.raises(ValueError):
-            T.batch_norm(Tensor([[1.0, 2.0]]), BNState.create(2), "train")
+            T.batch_norm(Tensor([[1.0, 2.0]]), BNState(2), "train")
+
+    def test_unknown_mode_fails_by_name(self):
+        x = Tensor([[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(ValueError, match=r"^mode must be one of \('train', 'infer'\), got 'eval'$"):
+            T.batch_norm(x, BNState(2), "eval")
 
     def test_running_stats_ema(self):
-        state = BNState.create(1, momentum=0.9)
+        state = BNState(1, momentum=0.9)
         x = np.array([[1.0], [3.0]])
         T.batch_norm(Tensor(x), state, "train")
         assert state.running_mean[0] == pytest.approx(0.9 * 0.0 + 0.1 * 2.0)
@@ -121,7 +126,7 @@ class TestBatchNorm:
             T.layer_norm(Tensor(np.zeros((2, 3, 4))), one, one)
 
     def test_infer_deterministic_per_row(self):
-        state = BNState.create(2)
+        state = BNState(2)
         state.running_mean[:] = [0.5, -0.5]
         state.running_var[:] = [2.0, 0.3]
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -396,7 +401,7 @@ class TestInPlaceAdjointsKeepTheBits:
             if mode == "layer":
                 axis, out = 1, T.layer_norm(xt, gt, bt)
             else:
-                axis, state = 0, BNState.create(d, dtype=dtype)
+                axis, state = 0, BNState(d, dtype=dtype)
                 state.scale, state.shift = gt, bt
                 if mode == "batch_infer":
                     state.running_mean = rng.normal(size=d).astype(dtype)
@@ -516,7 +521,7 @@ def _case_softmax(rng):
 
 def _case_batch_norm(rng):
     a = rand(rng, 6, 3)
-    state = BNState.create(3)
+    state = BNState(3)
     state.scale.data = rng.normal(size=3)
     state.shift.data = rng.normal(size=3)
     w = Tensor(rng.normal(size=(6, 3)))
@@ -525,7 +530,7 @@ def _case_batch_norm(rng):
 
 def _case_batch_norm_infer(rng):
     a = rand(rng, 6, 3)
-    state = BNState.create(3)
+    state = BNState(3)
     state.scale.data = rng.normal(size=3)
     state.shift.data = rng.normal(size=3)
     state.running_mean = rng.normal(size=3)
@@ -604,11 +609,8 @@ def _case_cross_entropy(rng):
 
 def _case_slices_concat(rng):
     a, b = rand(rng, 3, 4), rand(rng, 2, 4)
-    w = Tensor(rng.normal(size=(4, 2)))
-    return (
-        lambda: T.sum_all(T.mul(T.col_slice(T.row_slice(T.concat([a, b], axis=0), 1, 5), 1, 3), w)),
-        [a, b],
-    )
+    w = Tensor(rng.normal(size=(4, 4)))
+    return lambda: T.sum_all(T.mul(T.row_slice(T.concat([a, b], axis=0), 1, 5), w)), [a, b]
 
 
 OP_CASES = {
