@@ -89,13 +89,12 @@ class UsageAccumulator:
     """Accumulated router mass per expert across a token stream."""
 
     z_prime: np.ndarray  # float64 [n_experts], entries >= 0
-    token_count: int = 0
 
     @classmethod
     def create(cls, n_experts: int) -> "UsageAccumulator":
         return cls(z_prime=np.zeros(n_experts, dtype=np.float64))
 
-    def accumulate(self, indices, weights, tokens: int = 0) -> None:
+    def accumulate(self, indices, weights) -> None:
         indices = np.asarray(indices).ravel()
         weights = np.asarray(weights, dtype=np.float64).ravel()
         if indices.shape != weights.shape:
@@ -105,7 +104,6 @@ class UsageAccumulator:
         if weights.size and weights.min() < 0.0:
             raise ValueError("router mass must be non-negative")
         np.add.at(self.z_prime, indices, weights)
-        self.token_count += int(tokens)
 
 
 def expert_usage_metrics(acc: UsageAccumulator) -> tuple[float, float]:

@@ -116,9 +116,10 @@ def pkm_forward(layer: PkmLayer, x: Tensor, mode: str = "infer") -> tuple[Tensor
     """y = sum over heads of the score-weighted retrieved memory vectors.
 
     The payload does not depend on x beyond which slots the router picks.
-    Returns (y, routing) as `ProductKeyLayer.route` does.
+    Returns (y, the routing echo of `ProductKeyLayer.route`).
     """
-    return layer.route(x, mode, lambda x, idx, weights: T.gather_weighted_sum(weights, layer.values, idx))
+    idx, weights, routing = layer.route(x, mode)
+    return T.gather_weighted_sum(weights, layer.values, idx), routing
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +181,7 @@ def moe_forward(layer: MoeLayer, x: Tensor) -> Tensor:
     no other token.
     """
     scores = T.softmax(T.matmul(x, layer.gate))  # [m, n_experts]
-    picks, _ = T.top_k(scores, layer.config.granularity)  # [m, granularity]
+    picks, _ = T.top_k(scores.data, layer.config.granularity)  # [m, granularity]
     flat_scores = T.reshape(scores, (-1, 1))  # row t*n_experts + e: token t's score for expert e
     y = Tensor(np.zeros_like(x.data))  # zero base carried through scatter adds
     for e, expert in enumerate(layer.experts):

@@ -12,7 +12,6 @@ has bytes after the last one.
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import struct
@@ -66,13 +65,6 @@ def _read_record(f, offset: int, size: int) -> tuple[np.ndarray, int]:
     if f.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
         raise ValueError(f"tensor data of shape {shape} at byte {data_at} ended early: the input shrank while it was read")
     return arr, end
-
-
-def read_tensor_record(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
-    """Decode the record at `offset`; returns the array and the offset after it."""
-    f = io.BytesIO(buf)
-    f.seek(offset)
-    return _read_record(f, offset, len(buf))
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:

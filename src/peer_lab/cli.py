@@ -43,7 +43,6 @@ def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     corpus = _corpus_from_cfg(cfg)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model = build_model(model_config_from_flat(cfg))
     tc = dataclass_from_flat(TrainConfig, cfg, "train")
     state = None

@@ -95,14 +95,6 @@ class Corpus:
     def synthetic(cls, n_bytes: int = 1 << 20, seed: int = 0, val_fraction: float = 0.1) -> "Corpus":
         return cls.from_bytes(synthetic_text(n_bytes, seed), val_fraction)
 
-    @property
-    def n_train_bytes(self) -> int:
-        return self.split
-
-    @property
-    def n_val_bytes(self) -> int:
-        return len(self.stream) - self.split
-
     def sample_windows(self, rng: np.random.Generator, batch: int, seq_len: int) -> tuple[np.ndarray, np.ndarray]:
         """Random training windows: inputs [batch, seq_len] and next-byte targets."""
         if self.split < seq_len + 1:

@@ -90,19 +90,14 @@ def peer_forward(layer: PeerLayer, x: Tensor, mode: str = "infer") -> tuple[Tens
 
     Each retrieved expert is one hidden neuron: down(x) -> activation
     (times gate(x) for GLU) -> its score-weighted up row; one gathered sum
-    adds a token's heads*topk up rows. Returns (y, routing) as
-    `ProductKeyLayer.route` does.
+    adds a token's heads*topk up rows. Returns (y, the routing echo of
+    `ProductKeyLayer.route`).
     """
-    cfg = layer.config
-    activation = T.ACTIVATIONS[cfg.activation]
-
-    def experts(x: Tensor, idx: np.ndarray, weights: Tensor) -> Tensor:
-        act = activation(T.gather_dot(x, layer.w_down, idx))
-        if layer.w_gate is not None:
-            act = T.mul(act, T.gather_dot(x, layer.w_gate, idx))
-        return T.gather_weighted_sum(T.mul(weights, act), layer.w_up, idx)
-
-    return layer.route(x, mode, experts)
+    idx, weights, routing = layer.route(x, mode)
+    act = T.ACTIVATIONS[layer.config.activation](T.gather_dot(x, layer.w_down, idx))
+    if layer.w_gate is not None:
+        act = T.mul(act, T.gather_dot(x, layer.w_gate, idx))
+    return T.gather_weighted_sum(T.mul(weights, act), layer.w_up, idx), routing
 
 
 def assemble_dense_equivalent(layer: PeerLayer, x: Tensor, mode: str = "infer") -> tuple[np.ndarray, np.ndarray]:
@@ -134,4 +129,4 @@ def record_usage(routing: PeerRouting, acc) -> None:
     """Add this routing echo's normalized weights into a usage accumulator over the same experts."""
     if acc.z_prime.size != routing.n_experts:
         raise ValueError(f"accumulator holds {acc.z_prime.size} experts, routing echo has {routing.n_experts}")
-    acc.accumulate(routing.indices.ravel(), routing.weights.ravel(), tokens=routing.indices.shape[0])
+    acc.accumulate(routing.indices.ravel(), routing.weights.ravel())

@@ -59,11 +59,11 @@ class RetrievalResult:
     scores: np.ndarray  # float [k], non-increasing
 
 
-def build_index(n_experts: int, key_dim: int, init_scale: float | None = None, seed: int = 0, dtype=np.float64) -> ProductKeyIndex:
+def build_index(n_experts: int, key_dim: int, seed: int = 0, dtype=np.float64) -> ProductKeyIndex:
     """Create an index of `n_experts` (a perfect square) with even `key_dim`.
 
-    Sub-keys are i.i.d. uniform in [-init_scale, +init_scale]; the default
-    scale 1/sqrt(key_dim/2) keeps initial score variance O(1).
+    Sub-keys are i.i.d. uniform in [-s, +s] with s = 1/sqrt(key_dim/2), which
+    keeps initial score variance O(1).
     """
     sqrt_n = math.isqrt(int(n_experts))
     if sqrt_n * sqrt_n != n_experts or n_experts < 1:
@@ -71,18 +71,18 @@ def build_index(n_experts: int, key_dim: int, init_scale: float | None = None, s
     if key_dim % 2 != 0 or key_dim < 2:
         raise ValueError(f"key_dim must be a positive even number, got {key_dim}")
     half = key_dim // 2
-    if init_scale is None:
-        init_scale = 1.0 / math.sqrt(half)
+    scale = 1.0 / math.sqrt(half)
     rng = np.random.default_rng(seed)
-    left = rng.uniform(-init_scale, init_scale, size=(sqrt_n, half)).astype(dtype)
-    right = rng.uniform(-init_scale, init_scale, size=(sqrt_n, half)).astype(dtype)
+    left = rng.uniform(-scale, scale, size=(sqrt_n, half)).astype(dtype)
+    right = rng.uniform(-scale, scale, size=(sqrt_n, half)).astype(dtype)
     return ProductKeyIndex(left=Tensor(left, requires_grad=True), right=Tensor(right, requires_grad=True))
 
 
-def _check_query(index: ProductKeyIndex, query: np.ndarray) -> np.ndarray:
-    q = query.data if isinstance(query, Tensor) else np.asarray(query)
+def _check_query(index: ProductKeyIndex, query) -> np.ndarray:
+    q = np.asarray(query)
     if q.ndim != 1 or q.shape[0] != index.key_dim:
         raise ValueError(f"query must be a vector of dim {index.key_dim}, got shape {q.shape}")
+    _check_finite(q)
     return q
 
 
@@ -135,7 +135,7 @@ def retrieve_topk_batch(index: ProductKeyIndex, queries, k: int) -> tuple[np.nda
     Charges the scoped `MacMeter` sqrt(N)*d + k^2 MACs and 2*sqrt(N) + k^2
     comparisons per query.
     """
-    q = queries.data if isinstance(queries, Tensor) else np.asarray(queries)
+    q = np.asarray(queries)
     if q.ndim != 2 or q.shape[1] != index.key_dim:
         raise ValueError(f"queries must have shape [m, {index.key_dim}], got {q.shape}")
     _check_finite(q)
@@ -182,7 +182,7 @@ def retrieve_exhaustive(index: ProductKeyIndex, query, k: int) -> RetrievalResul
     and right halves (`np.tile` of all right sub-keys) are built, scored and
     freed in turn, each at most ORACLE_BLOCK values (or one left sub-key's
     rows), so no array the size of the key table is ever held; the scores
-    go into one [N] array.
+    go into one [N] array. A NaN or inf query is a ValueError.
 
     Charges the scoped `MacMeter` N*d MACs and N comparisons. Each inner
     product is the sum of the two half dot products, as on the product-key
@@ -307,16 +307,14 @@ class ProductKeyLayer:
             return {}
         return {f"{self.prefix}.bn.mean": self.bn.running_mean, f"{self.prefix}.bn.var": self.bn.running_var}
 
-    def route(self, x: Tensor, mode: str, payload) -> tuple[Tensor, PeerRouting]:
-        """Retrieve every token's top keys per head and read their payloads.
+    def route(self, x: Tensor, mode: str) -> tuple[np.ndarray, Tensor, PeerRouting]:
+        """Retrieve every token's top keys per head, with their normalized scores.
 
         Queries are token-major rows [m*heads, query_dim], row t*heads + h
-        being head h of token t. `payload(x, idx, weights)` gets the token
-        rows x [m, d_model] and each token's ids and normalized scores over
-        all heads, [m, heads*topk] each, and returns y [m, d_model]. Returns
-        (y, routing echo). Differentiable end to end except the top-k
-        selection itself: gradients flow through the selected scores and the
-        rows the payload reads only.
+        being head h of token t. Returns every token's ids and normalized
+        scores over all heads, idx [m, heads*topk] and weights [m, heads*topk]
+        (a Tensor), and the routing echo: the same ids and weights as
+        [m, heads, topk] arrays. Gradients flow through the selected scores.
         """
         cfg = self.config
         check_choice("mode", mode, MODES)
@@ -344,7 +342,6 @@ class ProductKeyLayer:
 
         # softmax normalizes over the k retrieved scores within each head
         weights = T.softmax(scores) if cfg.score_norm == "softmax_per_head" else T.sigmoid(scores)
-        k = cfg.heads * cfg.topk
-        y = payload(x, idx.reshape(m, k), T.reshape(weights, (m, k)))
         echo = (m, cfg.heads, cfg.topk)
-        return y, PeerRouting(indices=idx.reshape(echo), weights=weights.data.reshape(echo), n_experts=cfg.n_keys)
+        routing = PeerRouting(indices=idx.reshape(echo), weights=weights.data.reshape(echo), n_experts=cfg.n_keys)
+        return idx.reshape(m, -1), T.reshape(weights, (m, -1)), routing

@@ -70,14 +70,6 @@ class Tensor:
             self._grad = dense
         return self._grad
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def zero_grad(self) -> None:
         self._grad = self.grad_ids = self.grad_rows = None
 
@@ -289,16 +281,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _register(out, a.requires_grad or b.requires_grad, backward)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    out = Tensor(a.data * c)
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g * c)
-
-    return _register(out, a.requires_grad, backward)
-
-
 # ---------------------------------------------------------------------------
 # Matrix products
 # ---------------------------------------------------------------------------
@@ -472,7 +454,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _register(out, a.requires_grad, backward)
 
 
-def row_slice(a: Tensor, start: int, stop: int) -> Tensor:
+def row_slice(a: Tensor, start: int, stop: int) -> Tensor:  # test support: dense gradients with exact +0.0 rows
     """Slice [start:stop] along the first axis; backward pads with zeros."""
     out = Tensor(a.data[start:stop])
 
@@ -580,7 +562,7 @@ def softmax(a: Tensor) -> Tensor:
     return _register(out, a.requires_grad, backward)
 
 
-def sum_all(a: Tensor) -> Tensor:
+def sum_all(a: Tensor) -> Tensor:  # test support: scalar losses
     out = Tensor(np.asarray(a.data.sum(), dtype=a.data.dtype))
 
     def backward(g):
@@ -919,10 +901,10 @@ def top_k(values, k: int) -> tuple[np.ndarray, np.ndarray]:
     a larger k is narrowed to k survivors by partial selection, and only
     those are ordered. A row where either shortcut can go wrong (a NaN, a
     k-th pick of -inf, or a k-th value shared across the cut) takes the full
-    stable sort instead. Accepts a Tensor or ndarray; returns
-    (indices, values) as ndarrays.
+    stable sort instead. Takes an array; returns (indices, values) as
+    ndarrays.
     """
-    v = values.data if isinstance(values, Tensor) else np.asarray(values)
+    v = np.asarray(values)
     if v.ndim == 0 or v.shape[-1] == 0:
         raise ValueError(f"top_k needs a non-empty last axis, got shape {v.shape}")
     n = v.shape[-1]

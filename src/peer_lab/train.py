@@ -225,13 +225,15 @@ def train(
     """Run cfg.steps optimization steps (continuing from `state` if given).
 
     A `state` already at cfg.steps or past it is an error, raised before any
-    file is written."""
+    file or directory is made."""
     if cfg.steps < 1:
         raise ValueError(f"steps must be >= 1, got {cfg.steps}")
     if state is None:
         state = init_train_state(model, cfg)
     if state.step >= cfg.steps:
         raise ValueError(f"the run is already at step {state.step}, and steps is {cfg.steps}: no step is left to train")
+    for path in filter(None, (metrics_path, checkpoint_path)):
+        os.makedirs(os.path.dirname(os.fspath(path)) or ".", exist_ok=True)
     rows: list[dict] = []
     metrics_file = None
     if metrics_path is not None:

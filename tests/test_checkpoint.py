@@ -9,7 +9,6 @@ from peer_lab.checkpoint import (
     MAGIC,
     VERSION,
     load_checkpoint,
-    read_tensor_record,
     save_checkpoint,
     write_tensor_record,
 )
@@ -44,10 +43,13 @@ class TestTensorRecord:
         np.frombuffer(b"hello", dtype=np.uint8),
         np.asarray(3.25, dtype=np.float64),  # rank 0
     ])
-    def test_roundtrip(self, arr):
-        buf = encode(arr)
-        got, offset = read_tensor_record(buf)
-        assert offset == len(buf)
+    def test_roundtrip(self, arr, tmp_path):
+        # decoded through a one-entry container: its file is the header, the
+        # name and exactly the record's bytes
+        path = tmp_path / "one.bin"
+        save_checkpoint(path, {"x": arr})
+        assert path.stat().st_size == len(MAGIC) + 8 + 4 + 1 + len(encode(arr))
+        got = load_checkpoint(path)["x"]
         assert got.dtype == arr.dtype
         assert got.shape == arr.shape
         assert np.array_equal(got, arr)

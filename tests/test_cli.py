@@ -71,7 +71,17 @@ class TestTrainEval:
         out2 = tmp_path / "run2"
         with pytest.raises(ValueError, match=r"^the run is already at step 5, and steps is 5: "):
             main(["train", "--config", str(tiny_cfg), "--out-dir", str(out2), "--resume", str(out / "checkpoint.bin")])
-        assert list(out2.iterdir()) == []
+        assert not out2.exists()
+
+    def test_resume_of_a_truncated_checkpoint_fails_before_writing(self, tiny_cfg, tmp_path):
+        out = tmp_path / "run"
+        main(["train", "--config", str(tiny_cfg), "--out-dir", str(out)])
+        cut = tmp_path / "cut.bin"
+        cut.write_bytes((out / "checkpoint.bin").read_bytes()[:-3])
+        out2 = tmp_path / "run2"
+        with pytest.raises(ValueError, match=r"^checkpoint .*cut\.bin: entry \d+ of \d+"):
+            main(["train", "--config", str(tiny_cfg), "--out-dir", str(out2), "--resume", str(cut)])
+        assert not out2.exists()
 
 
 class TestRetrieveBench:

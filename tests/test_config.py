@@ -196,8 +196,8 @@ class TestCorpus:
 
     def test_split_sizes(self):
         corpus = Corpus.from_bytes(bytes(range(256)) * 4, val_fraction=0.25)
-        assert corpus.n_train_bytes == 768
-        assert corpus.n_val_bytes == 256
+        assert corpus.split == 768
+        assert len(corpus.stream) - corpus.split == 256
 
     def test_train_windows_never_touch_validation(self):
         corpus = Corpus.from_bytes(b"x" * 100, val_fraction=0.2)

@@ -178,7 +178,7 @@ class DotTableModel:
             loss = T.add(loss, T.sum_all(T.gather_weighted_sum(T.gather_dot(self.query, self.table, ids), self.table, ids + 100)))
         if self.use == "dense":
             head = T.row_slice(self.table, 0, 8)
-            loss = T.add(loss, T.scale(T.sum_all(T.mul(head, head)), 0.5))
+            loss = T.add(loss, T.mul(T.sum_all(T.mul(head, head)), Tensor(0.5, dtype=head.data.dtype)))
         return loss
 
 

@@ -247,7 +247,7 @@ class TableModel:
         if self.use in ("head", "all"):
             # gradient: the rows themselves, so nonzero on every row it covers
             part = T.row_slice(self.table, 0, 8) if self.use == "head" else self.table
-            loss = T.add(loss, T.scale(T.sum_all(T.mul(part, part)), 0.5))
+            loss = T.add(loss, T.mul(T.sum_all(T.mul(part, part)), Tensor(0.5, dtype=part.data.dtype)))
         return loss
 
 

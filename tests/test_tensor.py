@@ -257,13 +257,13 @@ class TestTapeSemantics:
 
     def test_no_tape_no_recording(self):
         x = Tensor([1.0], requires_grad=True)
-        y = T.scale(x, 2.0)
+        y = T.mul(x, Tensor(2.0))
         assert y.requires_grad is False and y.grad is None
 
     def test_nonscalar_backward_needs_seed(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
-            y = T.scale(x, 2.0)
+            y = T.mul(x, Tensor(2.0))
             with pytest.raises(ValueError):
                 tape.backward(y)
 
@@ -271,8 +271,8 @@ class TestTapeSemantics:
         x = Tensor([1.0], requires_grad=True)
         z = Tensor([1.0], requires_grad=True)
         with Tape() as tape:
-            _dead = T.scale(z, 3.0)
-            y = T.sum_all(T.scale(x, 2.0))
+            _dead = T.mul(z, Tensor(3.0))
+            y = T.sum_all(T.mul(x, Tensor(2.0)))
             tape.backward(y)
         assert z.grad is None
         assert np.array_equal(x.grad, [2.0])
@@ -301,7 +301,7 @@ class TestTapeSemantics:
     def test_a_bad_seed_leaves_the_tape_able_to_run(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
-            y = T.scale(x, 2.0)
+            y = T.mul(x, Tensor(2.0))
             with pytest.raises(ValueError):
                 tape.backward(y, grad=np.ones(3))
             tape.backward(y, grad=np.ones(2))
@@ -343,7 +343,7 @@ class TestTapeRelease:
         # array on as the gradient, which a leaf would keep
         x = rand(np.random.default_rng(1), 6, 4)
         with Tape() as tape:
-            y = op(T.scale(x, 1.0))
+            y = op(T.mul(x, Tensor(1.0)))
             bwd = tape._records[-1][1]
             cells = dict(zip(bwd.__code__.co_freevars, (c.cell_contents for c in bwd.__closure__)))
             ref = weakref.ref(cells[saved])
@@ -455,7 +455,7 @@ class TestGradCheck:
         p = Tensor([1.0, 2.0], requires_grad=True)
 
         def f():
-            return T.sum_all(T.scale(T.mul(p, Tensor([0.0, 0.0])), 1.0))
+            return T.sum_all(T.mul(T.mul(p, Tensor([0.0, 0.0])), Tensor(1.0)))
 
         assert T.grad_check(f, {"p": p}) == {"p": 0.0}
 
@@ -474,7 +474,7 @@ class TestGradCheck:
     def test_nonscalar_function_errors(self):
         p = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ValueError):
-            T.grad_check(lambda: T.scale(p, 1.0), {"p": p})
+            T.grad_check(lambda: T.mul(p, Tensor(1.0)), {"p": p})
 
 
 def _case_elementwise(rng, op):
