@@ -43,28 +43,108 @@ _WORDS = (
 ).split()
 
 
+# The Zipf 1/rank word distribution as the CDF that rng.choice(p=...) would
+# build; each word draw is cdf.searchsorted(rng.random(), side="right").
+_CDF = 1.0 / np.arange(1, len(_WORDS) + 1, dtype=np.float64)
+_CDF /= _CDF.sum()
+_CDF = _CDF.cumsum()
+_CDF /= _CDF[-1]
+
+# Token 4·w + capitalised + 2·(ends the sentence) is word w with its capital
+# and its trailing " " or ". "; the last token is the paragraph break. They
+# are str, not bytes: b"".join holds an 80-byte buffer record per piece.
+_TOKENS = np.array(
+    [
+        (word.capitalize() if cap else word) + (". " if end else " ")
+        for word in _WORDS
+        for end in (False, True)
+        for cap in (False, True)
+    ]
+    + ["\n\n"],
+    dtype=object,
+)
+_TOKEN_BYTES = np.array([len(t) for t in _TOKENS], dtype=np.int64)
+_PARAGRAPH = len(_TOKENS) - 1
+
+_SENTENCE_MAX = 12  # integers(4, 13) gives 4..12 words
+# text bytes per 64-bit word of the stream, rounded down from its mean of ~3.7,
+# so the first draw nearly always covers n_bytes
+_BYTES_PER_WORD = 3
+
+
 def synthetic_text(n_bytes: int, seed: int = 0) -> bytes:
-    """Deterministic English-like word salad of roughly n_bytes bytes."""
-    rng = np.random.default_rng(seed)
-    ranks = np.arange(1, len(_WORDS) + 1, dtype=np.float64)
-    weights = 1.0 / ranks
-    weights /= weights.sum()
-    # the inverse-CDF draw rng.choice(len(_WORDS), size, p=weights) makes,
-    # with its CDF built once instead of once per sentence
-    cdf = weights.cumsum()
-    cdf /= cdf[-1]
-    pieces: list[str] = []
-    size = 0
-    while size < n_bytes:
-        sent_len = int(rng.integers(4, 13))
-        words = [_WORDS[i] for i in cdf.searchsorted(rng.random(sent_len), side="right")]
-        words[0] = words[0].capitalize()
-        sentence = " ".join(words) + ". "
-        if rng.random() < 0.08:
-            sentence += "\n\n"
-        pieces.append(sentence)
-        size += len(sentence)
-    return "".join(pieces).encode("ascii")[:n_bytes]
+    """Deterministic English-like word salad of exactly n_bytes bytes.
+
+    The bytes are the first n_bytes of what this loop over
+    `rng = np.random.default_rng(seed)` writes, one sentence at a time:
+
+        sent_len = rng.integers(4, 13)
+        ids = _CDF.searchsorted(rng.random(sent_len), side="right")
+        sentence = the words joined by " ", the first capitalised, + ". "
+        if rng.random() < 0.08: sentence += "\n\n"
+
+    `_stream_text` decodes the same PCG64 stream in bulk.
+    """
+    if n_bytes < 1:
+        raise ValueError(f"n_bytes must be >= 1, got {n_bytes}")
+    return _stream_text(np.random.PCG64(seed), n_bytes)
+
+
+def _sentence_lengths(words: np.ndarray) -> bytes:
+    """The sentence length `integers(4, 13)` reads from each 32-bit half of
+    `words`, low half first, or 0 where Lemire's method rejects the half."""
+    halves = words.astype("<u8", copy=False).view("<u4")
+    m = halves.astype(np.uint64) * np.uint64(9)
+    lengths = (m >> np.uint64(32)).astype(np.uint8) + np.uint8(4)
+    lengths[m.astype(np.uint32) < 4] = 0  # (2^32 - 9) mod 9 = 4 values redraw
+    return lengths.tobytes()
+
+
+def _stream_text(bitgen: np.random.PCG64, n_bytes: int) -> bytes:
+    """The first n_bytes of the sentence loop's text over `bitgen`'s stream.
+
+    numpy's Generator decodes the 64-bit words this way: `integers(4, 13)`
+    takes a 32-bit half, the buffered high half of the last word it split
+    or else the low half of a fresh word (buffering the high half), and
+    redraws the same way if the half is rejected; `random()` is a whole
+    word, `(w >> 11) * 2**-53`, and leaves the buffer alone.
+    """
+    words = bitgen.random_raw(n_bytes // _BYTES_PER_WORD + 64)
+    lengths = _sentence_lengths(words)
+    sentences = []  # (index of the first word draw << 4) | words in the sentence
+    pos, buffered = 0, -1  # the next fresh word; the buffered half, or -1
+    while True:
+        # a sentence starting at pos reads words up to pos + _SENTENCE_MAX + 1
+        last = len(words) - _SENTENCE_MAX - 2
+        while pos <= last:
+            if buffered < 0:
+                half, buffered = 2 * pos, 2 * pos + 1
+                pos += 1
+            else:
+                half, buffered = buffered, -1
+            n = lengths[half]
+            if n:
+                sentences.append(pos << 4 | n)
+                pos += n + 1  # n word draws, then the paragraph draw
+        first = np.array(sentences, dtype=np.int64)
+        count = first & 15
+        first >>= 4
+        draws = (words >> np.uint64(11)) * 2.0**-53
+        ends = np.cumsum(count)
+        starts = ends - count
+        at = np.arange(count.sum()) + np.repeat(first - starts, count)  # each word's draw
+        tokens = _CDF.searchsorted(draws[at], side="right").astype(np.int32) * 4
+        tokens[starts] += 1
+        tokens[ends - 1] += 2
+        tokens = np.insert(tokens, ends[draws[first + count] < 0.08], _PARAGRAPH)
+        sizes = _TOKEN_BYTES[tokens].cumsum()
+        if sizes[-1] >= n_bytes:
+            break
+        more = bitgen.random_raw(len(words) // 2 + 64)
+        words = np.concatenate((words, more))
+        lengths += _sentence_lengths(more)
+    cut = int(sizes.searchsorted(n_bytes)) + 1
+    return "".join(_TOKENS[tokens[:cut]].tolist())[:n_bytes].encode("ascii")
 
 
 @dataclass
@@ -106,12 +186,8 @@ class Corpus:
         return x, y
 
     def val_windows(self, seq_len: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Non-overlapping validation windows covering the held-out region."""
-        windows = []
-        start = self.split
-        while start + seq_len + 1 <= len(self.stream):
-            x = self.stream[start : start + seq_len].astype(np.int64)
-            y = self.stream[start + 1 : start + seq_len + 1].astype(np.int64)
-            windows.append((x, y))
-            start += seq_len
-        return windows
+        """Non-overlapping validation windows covering the held-out region,
+        as read-only views of one int64 copy of it."""
+        held = self.stream[self.split :].astype(np.int64)
+        held.flags.writeable = False
+        return [(held[s : s + seq_len], held[s + 1 : s + seq_len + 1]) for s in range(0, len(held) - seq_len, seq_len)]

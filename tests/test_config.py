@@ -1,8 +1,12 @@
 from dataclasses import fields
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from peer_lab import data
 from peer_lab import tensor as T
 from peer_lab.baselines import DenseConfig, MoeConfig, PkmConfig
 from peer_lab.config import ACTIVATIONS, SCHEMA, SCORE_NORMS, dataclass_from_flat, default_config, format_config, parse_config
@@ -10,6 +14,31 @@ from peer_lab.data import _WORDS, Corpus, synthetic_text
 from peer_lab.model import MIDDLE_LAYERS, ModelConfig, model_config_from_flat
 from peer_lab.peer import PeerConfig
 from peer_lab.train import TrainConfig
+
+# sha256 of synthetic_text(n_bytes, seed), taken from the per-sentence loop
+CORPUS_SHA256 = {
+    (0, 20000): "c6ea4da00e4225807fec37e083826fdbf42deec47c5ee99946ca2b33c6071b0e",
+    (0, 1 << 20): "9756819f7fcee83d84f3b13c4dff3ed3aa9f5f3e9fab26c2c23206187eafded8",
+    (1, 20000): "f36cd6fd85c57d38f6cda7fffec4d00e8d7d2628c88563374ce6dcdfab646893",
+    (1, 1 << 20): "d06c34453cb9d1112032e93429a001850096cb685ca034fc1746a9be7ba83d36",
+    (7, 20000): "494f479939a4cd29c8ffe8b12d7933e3c99586eead2464fcde4f14642945b008",
+    (7, 1 << 20): "15c5d2bfe45c02059c52c9c18d07133c8f4caf5affec9ed6a93dc712690fac6a",
+}
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# the four 32-bit halves u for which Lemire's method redraws integers(4, 13):
+# 9u mod 2^32 < 4
+LEMIRE_REJECTS = [r * pow(9, -1, 1 << 32) % (1 << 32) for r in range(4)]
+
+
+def pcg64_before(word: int, seed: int = 0) -> np.random.PCG64:
+    """A PCG64 whose next 64-bit output is `word`: the state before S' =
+    word (high word 0, so S' outputs its low word) is (S' - inc)·mult^-1."""
+    bitgen = np.random.PCG64(seed)
+    state = bitgen.state
+    inc = state["state"]["inc"]
+    state["state"]["state"] = (word - inc) * pow(PCG64_MULT, -1, 1 << 128) % (1 << 128)
+    bitgen.state = state
+    return bitgen
 
 # a valid value other than the default for every key a layer or training run reads
 NON_DEFAULT = {
@@ -42,8 +71,9 @@ NON_DEFAULT = {
 }
 
 
-def synthetic_text_per_sentence_choice(n_bytes: int, seed: int = 0) -> bytes:
-    """The generator as first written: one rng.choice(p=...) per sentence."""
+def synthetic_text_per_sentence_choice(n_bytes: int, seed: int | np.random.Generator = 0) -> bytes:
+    """The generator as first written: one rng.choice(p=...) per sentence,
+    over `default_rng(seed)` or over the Generator given."""
     rng = np.random.default_rng(seed)
     ranks = np.arange(1, len(_WORDS) + 1, dtype=np.float64)
     weights = 1.0 / ranks
@@ -190,6 +220,55 @@ class TestCorpus:
         # 1 and 9 bytes end inside the first sentence
         assert synthetic_text(n_bytes, seed) == synthetic_text_per_sentence_choice(n_bytes, seed)
 
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_every_length_to_4096_is_the_loops_prefix(self, seed):
+        # the loop's text for n bytes is a prefix of its text for more
+        reference = synthetic_text_per_sentence_choice(4096, seed)
+        for n in range(1, 4097):
+            assert synthetic_text(n, seed) == reference[:n], n
+
+    @pytest.mark.parametrize(
+        "word",
+        [
+            (0x9ABCDEF0 << 32) | LEMIRE_REJECTS[1],  # the first word's low half rejects
+            (LEMIRE_REJECTS[2] << 32) | 0x12345678,  # the buffered high half rejects
+            (LEMIRE_REJECTS[3] << 32) | LEMIRE_REJECTS[0],  # both halves of one word reject
+        ],
+        ids=["low half", "buffered high half", "both halves"],
+    )
+    def test_rejected_sentence_lengths_redraw_as_numpy_does(self, word):
+        assert pcg64_before(word).random_raw() == word
+        reference = synthetic_text_per_sentence_choice(3000, np.random.Generator(pcg64_before(word)))
+        assert data._stream_text(pcg64_before(word), 3000) == reference
+
+    def test_a_short_first_draw_extends_the_same_stream(self, monkeypatch):
+        monkeypatch.setattr(data, "_BYTES_PER_WORD", 1000)  # the first draw is 64 + n/1000 words
+        assert synthetic_text(20000, seed=3) == synthetic_text_per_sentence_choice(20000, 3)
+
+    @pytest.mark.parametrize("seed, n_bytes", sorted(CORPUS_SHA256))
+    def test_synthetic_bytes_are_pinned(self, seed, n_bytes):
+        digest = hashlib.sha256(synthetic_text(n_bytes, seed)).hexdigest()
+        assert digest == CORPUS_SHA256[seed, n_bytes], (
+            f"synthetic_text({n_bytes}, seed={seed}) changed: numpy's Generator stream or the generator "
+            "changed, and every eval_ppl and checkpoint moves with it"
+        )
+
+    def test_synthetic_peak_memory_at_one_mib(self):
+        tracemalloc.start()
+        try:
+            synthetic_text(1 << 20, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 << 20, f"peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("n_bytes", [0, -5])
+    def test_non_positive_length_fails_by_name(self, n_bytes):
+        with pytest.raises(ValueError, match=f"n_bytes must be >= 1, got {n_bytes}"):
+            synthetic_text(n_bytes)
+        with pytest.raises(ValueError, match=f"n_bytes must be >= 1, got {n_bytes}"):
+            Corpus.synthetic(n_bytes)
+
     def test_synthetic_is_texty(self):
         text = synthetic_text(20000, seed=0).decode("ascii")
         assert ". " in text and text.count(" ") > 2000
@@ -225,6 +304,20 @@ class TestCorpus:
         assert len(windows) == 3
         for x, y in windows:
             assert np.all(x == 2) and np.all(y == 2)
+
+    def test_val_windows_are_read_only_views_equal_to_per_window_copies(self):
+        corpus = Corpus.synthetic(20000, seed=2)
+        windows = corpus.val_windows(seq_len=64)
+        starts = range(corpus.split, len(corpus.stream) - 64, 64)
+        assert len(windows) == len(starts) == 31
+        for (x, y), start in zip(windows, starts):
+            want_x = corpus.stream[start : start + 64].astype(np.int64)
+            want_y = corpus.stream[start + 1 : start + 65].astype(np.int64)
+            assert x.dtype == want_x.dtype and y.dtype == want_y.dtype
+            np.testing.assert_array_equal(x, want_x)
+            np.testing.assert_array_equal(y, want_y)
+        with pytest.raises(ValueError, match="read-only"):
+            windows[0][0][0] = 1
 
     def test_too_small_training_region_errors(self):
         corpus = Corpus.from_bytes(b"ab" * 10, val_fraction=0.5)
