@@ -6,14 +6,18 @@ Ops are plain functions over `Tensor` values. While a `Tape` is active
 accumulating (never overwriting) gradients into every tensor that
 ``requires_grad``. With no tape active, ops are plain numpy computations.
 
+Gradients live in each tensor's `Node`. A closure holds its inputs' nodes
+and only the arrays its adjoint reads, never a Tensor, so an op output that
+no adjoint reads is freed as soon as the forward code drops it.
+
 Backward frees what it has used. Just before an op's adjoint runs, the tape
-takes that op's output gradient off the output and drops the op's record,
-so the closure and the forward arrays it captured go as soon as the adjoint
-returns; every op that read the output ran its adjoint earlier. Afterwards
-only leaves (parameters and inputs, which no recorded op produced) hold
-gradients, and a tape runs backward once. An adjoint may overwrite arrays
-its own op made, since it runs once, but never its upstream gradient `g`,
-which may be another tensor's gradient too.
+takes that op's output gradient off the output's node and drops the op's
+record, so the closure and the forward arrays it captured go as soon as the
+adjoint returns; every op that read the output ran its adjoint earlier.
+Afterwards only leaves (parameters and inputs, which no recorded op
+produced) hold gradients, and a tape runs backward once. An adjoint may
+overwrite arrays its own op made, since it runs once, but never its
+upstream gradient `g`, which may be another node's gradient too.
 
 Float64 is the default dtype; float32 is supported for speed. Matmul-like
 ops report multiply-accumulate counts to an optional `MacMeter`.
@@ -38,8 +42,8 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-class Tensor:
-    """A dense n-d float array with an optional same-shape gradient.
+class Node:
+    """A tensor's gradient slot: its shape, dtype, `requires_grad` and gradient.
 
     A gradient whose every contribution came from a gathered-row adjoint is
     held row-sparse: `grad_ids`, the sorted unique rows that may be nonzero,
@@ -47,7 +51,32 @@ class Tensor:
     them once; `grad_ids` and `grad_rows` are None for any other gradient.
     """
 
-    __slots__ = ("data", "_grad", "grad_ids", "grad_rows", "requires_grad")
+    __slots__ = ("shape", "dtype", "_grad", "grad_ids", "grad_rows", "requires_grad")
+
+    def __init__(self, shape: tuple[int, ...], dtype, requires_grad: bool):
+        self.shape, self.dtype = shape, dtype
+        self._grad = self.grad_ids = self.grad_rows = None
+        self.requires_grad = requires_grad
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        if self._grad is None and self.grad_rows is not None:
+            # np.zeros, not zeros_like: pages no row lands on are never written
+            dense = np.zeros(self.shape, self.dtype)
+            dense[self.grad_ids] = self.grad_rows
+            self._grad = dense
+        return self._grad
+
+    def zero_grad(self) -> None:
+        self._grad = self.grad_ids = self.grad_rows = None
+
+
+class Tensor:
+    """A dense n-d float array, `data`, and its gradient slot, `node`;
+    `grad`, `grad_ids`, `grad_rows`, `requires_grad` and `zero_grad` are the
+    node's."""
+
+    __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -56,22 +85,22 @@ class Tensor:
         elif arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
-        self._grad: np.ndarray | None = None
-        self.grad_ids: np.ndarray | None = None
-        self.grad_rows: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
+        self.node = Node(arr.shape, arr.dtype, bool(requires_grad))
+
+    grad = property(lambda self: self.node.grad)
+    grad_ids = property(lambda self: self.node.grad_ids)
+    grad_rows = property(lambda self: self.node.grad_rows)
 
     @property
-    def grad(self) -> np.ndarray | None:
-        if self._grad is None and self.grad_rows is not None:
-            # np.zeros, not zeros_like: pages no row lands on are never written
-            dense = np.zeros(self.data.shape, self.data.dtype)
-            dense[self.grad_ids] = self.grad_rows
-            self._grad = dense
-        return self._grad
+    def requires_grad(self) -> bool:
+        return self.node.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, value: bool) -> None:
+        self.node.requires_grad = bool(value)
 
     def zero_grad(self) -> None:
-        self._grad = self.grad_ids = self.grad_rows = None
+        self.node.zero_grad()
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -119,15 +148,15 @@ class Tape:
     """Ordered record of executed ops; backward replays adjoints in reverse.
 
     One forward pass per tape, and one backward. Each recorded entry is
-    (output tensor, backward closure); the closure takes the output's
+    (output node, backward closure); the closure takes the output's
     accumulated gradient and adds each input's contribution to that input's
-    gradient. Backward drops each entry, and the output's gradient, once it
-    reaches it, so afterwards only leaves hold gradients. ``len(tape)`` stays
-    the number of ops recorded.
+    node, and holds no Tensor. Backward drops each entry, and the output's
+    gradient, once it reaches it, so afterwards only leaves hold gradients.
+    ``len(tape)`` stays the number of ops recorded.
     """
 
     def __init__(self):
-        self._records: list[tuple[Tensor, object] | None] = []
+        self._records: list[tuple[Node, object] | None] = []
         self._ran = False
 
     def __enter__(self) -> "Tape":
@@ -141,7 +170,7 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def record(self, out: Tensor, backward) -> None:
+    def record(self, out: Node, backward) -> None:
         self._records.append((out, backward))
 
     def backward(self, output: Tensor, grad=None) -> None:
@@ -168,7 +197,7 @@ class Tape:
             if grad.shape != output.data.shape:
                 raise ValueError(f"seed gradient shape {grad.shape} != output shape {output.data.shape}")
         self._ran = True
-        _accum(output, grad)
+        _accum(output.node, grad)
         records = self._records
         for i in reversed(range(len(records))):
             out, bwd = records[i]
@@ -180,28 +209,28 @@ class Tape:
             del out, bwd, g
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Node, g: np.ndarray) -> None:
     """Add one dense contribution to t's gradient without writing into any array.
 
     A first contribution is kept as it is, although it may alias another
-    tensor's gradient, or an adjoint's upstream `g`: no gradient is ever
+    node's gradient, or an adjoint's upstream `g`: no gradient is ever
     updated in place, and no adjoint writes into its `g`, so a later
     contribution makes a new array (the bits of `+=`). A row-sparse gradient
     held so far is added as its dense form. Tape.backward takes the sum
     off an op output when that op's adjoint runs; only leaves keep theirs.
     """
     if t.grad is None:
-        t._grad = g.astype(t.data.dtype, copy=False)
+        t._grad = g.astype(t.dtype, copy=False)
     else:
-        t._grad = (t.grad + g).astype(t.data.dtype, copy=False)
+        t._grad = (t.grad + g).astype(t.dtype, copy=False)
     t.grad_ids = t.grad_rows = None
 
 
 def _register(out: Tensor, needs_grad: bool, backward) -> Tensor:
     tape = _active_tape()
     if tape is not None and needs_grad:
-        out.requires_grad = True
-        tape.record(out, backward)
+        out.node.requires_grad = True
+        tape.record(out.node, backward)
     return out
 
 
@@ -259,26 +288,28 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
+    an, bn = a.node, b.node
 
     def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.data.shape))
+        if an.requires_grad:
+            _accum(an, _unbroadcast(g, an.shape))
+        if bn.requires_grad:
+            _accum(bn, _unbroadcast(g, bn.shape))
 
-    return _register(out, a.requires_grad or b.requires_grad, backward)
+    return _register(out, an.requires_grad or bn.requires_grad, backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data)
+    ad, bd, an, bn = a.data, b.data, a.node, b.node
+    out = Tensor(ad * bd)
 
     def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if an.requires_grad:
+            _accum(an, _unbroadcast(g * bd, an.shape))
+        if bn.requires_grad:
+            _accum(bn, _unbroadcast(g * ad, bn.shape))
 
-    return _register(out, a.requires_grad or b.requires_grad, backward)
+    return _register(out, an.requires_grad or bn.requires_grad, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +328,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     # row stacked twice takes the matrix-matrix path of a taller a
     rows = np.concatenate([a.data, a.data]) if a.data.shape[0] == 1 else a.data
     out = Tensor((rows @ b.data)[: a.data.shape[0]])
+    ad, bd, an, bn = a.data, b.data, a.node, b.node
 
     def backward(g):
-        if a.requires_grad:
-            _accum(a, g @ b.data.T)
-        if b.requires_grad:
-            _accum(b, a.data.T @ g)
+        if an.requires_grad:
+            _accum(an, g @ bd.T)
+        if bn.requires_grad:
+            _accum(bn, ad.T @ g)
 
-    return _register(out, a.requires_grad or b.requires_grad, backward)
+    return _register(out, an.requires_grad or bn.requires_grad, backward)
 
 
 # query rows of one causal_attention tile. A tile of r rows ending at row hi
@@ -382,7 +414,8 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     def block(buf, lo, hi, at):
         return buf[at : at + n_heads * (hi - lo) * hi].reshape(n_heads, hi - lo, hi)
 
-    needs_grad = q.requires_grad or k.requires_grad or v.requires_grad
+    nodes = (q.node, k.node, v.node)
+    needs_grad = any(n.requires_grad for n in nodes)
     probs = np.empty((b, size), qd.dtype) if needs_grad and _active_tape() is not None else None
     tile_size = n_heads * min(t, ATTENTION_TILE) * t  # the largest tile's block
     scratch = np.empty(tile_size, qd.dtype) if probs is None else None
@@ -405,7 +438,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
         np.setbufsize(bufsize)
 
     def backward(g):
-        dq, dk, dv = (np.empty(qd.shape, qd.dtype) if x.requires_grad else None for x in (q, k, v))
+        dq, dk, dv = (np.empty(qd.shape, qd.dtype) if n.requires_grad else None for n in nodes)
         gh = heads(g)
         dqh, dkh, dvh = (None if x is None else heads(x) for x in (dq, dk, dv))
         dp_buf, kt, vt = np.empty(tile_size, qd.dtype), np.empty((n_heads, hd, t), qd.dtype), np.empty((n_heads, t, hd), qd.dtype)
@@ -432,9 +465,9 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
                     np.matmul(dp, kh[i, :, :hi], out=dqh[i, :, lo:hi])
                 if dk is not None:
                     place(dkh[i], np.matmul(qh[i, :, lo:hi].transpose(0, 2, 1), dp, out=kt[:, :, :hi]).transpose(0, 2, 1), hi)
-        for x, gx in ((q, dq), (k, dk), (v, dv)):
-            if gx is not None:
-                _accum(x, gx)
+        for n, gn in zip(nodes, (dq, dk, dv)):
+            if gn is not None:
+                _accum(n, gn)
 
     return _register(Tensor(out), needs_grad, backward)
 
@@ -446,25 +479,27 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape))
+    an = a.node
 
     def backward(g):
-        if a.requires_grad:
-            _accum(a, g.reshape(a.data.shape))
+        if an.requires_grad:
+            _accum(an, g.reshape(an.shape))
 
-    return _register(out, a.requires_grad, backward)
+    return _register(out, an.requires_grad, backward)
 
 
 def row_slice(a: Tensor, start: int, stop: int) -> Tensor:  # test support: dense gradients with exact +0.0 rows
     """Slice [start:stop] along the first axis; backward pads with zeros."""
     out = Tensor(a.data[start:stop])
+    an = a.node
 
     def backward(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
+        if an.requires_grad:
+            full = np.zeros(an.shape, an.dtype)
             full[start:stop] = g
-            _accum(a, full)
+            _accum(an, full)
 
-    return _register(out, a.requires_grad, backward)
+    return _register(out, an.requires_grad, backward)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -473,14 +508,15 @@ def concat(tensors, axis: int = 0) -> Tensor:
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
+    nodes = [t.node for t in tensors]
 
     def backward(g):
         moved = np.moveaxis(g, axis, 0)
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                _accum(t, np.moveaxis(moved[lo:hi], 0, axis))
+        for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            if n.requires_grad:
+                _accum(n, np.moveaxis(moved[lo:hi], 0, axis))
 
-    return _register(out, any(t.requires_grad for t in tensors), backward)
+    return _register(out, any(n.requires_grad for n in nodes), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -489,18 +525,19 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0))
+    x, an = a.data, a.node
+    out = Tensor(np.maximum(x, 0.0))
 
     def backward(g):
-        if a.requires_grad:
-            _accum(a, g * (a.data > 0))
+        if an.requires_grad:
+            _accum(an, g * (x > 0))
 
-    return _register(out, a.requires_grad, backward)
+    return _register(out, an.requires_grad, backward)
 
 
 def gelu(a: Tensor) -> Tensor:
     """Exact (erf-based) GELU: x * cdf(x), with cdf = 0.5 * (1 + erf(x / sqrt(2)))."""
-    x = a.data
+    x, an = a.data, a.node
     cdf = x * _INV_SQRT2  # built in place: one [n, d] array besides the output
     erf(cdf, out=cdf)
     cdf += 1.0
@@ -508,7 +545,7 @@ def gelu(a: Tensor) -> Tensor:
     out = Tensor(x * cdf)
 
     def backward(g):
-        if a.requires_grad:
+        if an.requires_grad:
             # g * (cdf + x * pdf), pdf = exp(-x^2 / 2) / sqrt(2 pi), in one temporary
             d = -0.5 * x
             d *= x
@@ -517,13 +554,13 @@ def gelu(a: Tensor) -> Tensor:
             d *= x
             d += cdf
             d *= g
-            _accum(a, d)
+            _accum(an, d)
 
-    return _register(out, a.requires_grad, backward)
+    return _register(out, an.requires_grad, backward)
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
+    x, an = a.data, a.node
     y = np.empty_like(x)
     pos = x >= 0
     y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -532,10 +569,10 @@ def sigmoid(a: Tensor) -> Tensor:
     out = Tensor(y)
 
     def backward(g):
-        if a.requires_grad:
-            _accum(a, g * y * (1.0 - y))
+        if an.requires_grad:
+            _accum(an, g * y * (1.0 - y))
 
-    return _register(out, a.requires_grad, backward)
+    return _register(out, an.requires_grad, backward)
 
 
 ACTIVATIONS = {"relu": relu, "gelu": gelu}  # one entry per name in config.ACTIVATIONS
@@ -554,32 +591,38 @@ def softmax(a: Tensor) -> Tensor:
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(y)
+    an = a.node
 
     def backward(g):
-        if a.requires_grad:
-            _accum(a, y * (g - (g * y).sum(axis=-1, keepdims=True)))
+        if an.requires_grad:
+            _accum(an, y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
-    return _register(out, a.requires_grad, backward)
+    return _register(out, an.requires_grad, backward)
 
 
 def sum_all(a: Tensor) -> Tensor:  # test support: scalar losses
     out = Tensor(np.asarray(a.data.sum(), dtype=a.data.dtype))
+    an = a.node
 
     def backward(g):
-        if a.requires_grad:
-            _accum(a, np.broadcast_to(g, a.data.shape).astype(a.data.dtype))
+        if an.requires_grad:
+            _accum(an, np.broadcast_to(g, an.shape).astype(an.dtype))
 
-    return _register(out, a.requires_grad, backward)
+    return _register(out, an.requires_grad, backward)
 
 
 def cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:
-    """Mean next-token cross entropy in nats. logits [n,v], targets int [n]."""
+    """Mean next-token cross entropy in nats. logits [n,v], targets int [n] in [0, v)."""
     targets = np.asarray(targets)
     if logits.data.ndim != 2 or targets.ndim != 1 or targets.shape[0] != logits.data.shape[0]:
         raise ValueError(f"cross entropy expects logits [n,v] and targets [n], got {logits.data.shape} and {targets.shape}")
-    n = logits.data.shape[0]
+    n, v = logits.data.shape
     if n == 0:
         raise ValueError(f"cross entropy is the mean over rows and needs at least one, got logits shape {logits.data.shape}")
+    if not np.issubdtype(targets.dtype, np.integer):
+        raise ValueError(f"cross entropy needs integer targets, got dtype {targets.dtype}")
+    if targets.min() < 0 or targets.max() >= v:
+        raise ValueError(f"cross entropy target out of range [0, {v})")
     m = logits.data.max(axis=-1, keepdims=True)
     e = logits.data - m  # the shifted logits, exponentiated in place: one [n, v] array
     rows = np.arange(n)
@@ -588,15 +631,16 @@ def cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:
     z = e.sum(axis=-1, keepdims=True)
     loss = -(picked - np.log(z[:, 0])).mean()  # the log-probabilities of the targets only
     out = Tensor(np.asarray(loss, dtype=logits.data.dtype))
+    ln = logits.node
 
     def backward(g):
-        if logits.requires_grad:
+        if ln.requires_grad:
             p = np.divide(e, z, out=e)  # the probabilities, in the array only this closure holds
             p[rows, targets] -= 1.0
             p *= g / n
-            _accum(logits, p)
+            _accum(ln, p)
 
-    return _register(out, logits.requires_grad, backward)
+    return _register(out, ln.requires_grad, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -604,22 +648,23 @@ def cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def scatter_add_into(table: Tensor, idx: np.ndarray, operand: np.ndarray, weights: np.ndarray | None = None) -> None:
-    """Add weights[i, j] * operand[i] into row idx[i, j] of table's gradient, for every entry.
+def scatter_add_into(table: Node, idx: np.ndarray, operand: np.ndarray, weights: np.ndarray | None = None) -> None:
+    """Add weights[i, j] * operand[i] into row idx[i, j] of the gradient of
+    `table`, a table's node, for every entry.
 
     idx is [m, k] (or [m], with k = 1), operand [m, ...] and weights, shaped
     like idx, default to ones. Each named row gets the sum of its entries,
     taken in (i, j) order starting from zero: bit for bit what a sequential
     Python loop over the entries into a zero buffer gives. Entries are not
     merged beforehand, so an id repeated within one i (a token's experts may
-    share a sub-key) adds twice. The sums are kept row-sparse (see Tensor)
+    share a sub-key) adds twice. The sums are kept row-sparse (see Node)
     when the gradient so far is row-sparse or absent; rows no entry names
     are not touched.
     """
     flat = idx.reshape(-1)
-    dtype = table.data.dtype
+    dtype = table.dtype
     if flat.size == 0:
-        ids, rows = flat.astype(np.intp), np.zeros((0,) + table.data.shape[1:], dtype)
+        ids, rows = flat.astype(np.intp), np.zeros((0,) + table.shape[1:], dtype)
     else:
         m = operand.shape[0]
         order = np.argsort(flat, kind="stable")
@@ -631,10 +676,10 @@ def scatter_add_into(table: Tensor, idx: np.ndarray, operand: np.ndarray, weight
         # sparse-dense product sums each row sequentially in storage order
         adjoint = csr_matrix((values, order // (flat.size // m), np.r_[starts, flat.size]), shape=(ids.size, m))
         # each sum starts from +0.0, so no row is -0.0, as in a zero buffer
-        rows = (adjoint @ operand.reshape(m, -1)).astype(dtype, copy=False).reshape((ids.size,) + table.data.shape[1:])
+        rows = (adjoint @ operand.reshape(m, -1)).astype(dtype, copy=False).reshape((ids.size,) + table.shape[1:])
     if table._grad is not None and table.grad_rows is None:
         # a dense gradient so far: add the zero-filled buffer (turning -0.0 into +0.0)
-        buf = np.zeros(table.data.shape, dtype)
+        buf = np.zeros(table.shape, dtype)
         buf[ids] = rows
         _accum(table, buf)
     elif table.grad_rows is None:
@@ -674,12 +719,13 @@ def gather_rows(table: Tensor, idx) -> Tensor:
     """
     idx = _row_ids(table, idx, "gather_rows")
     out = Tensor(table.data[idx])
+    tn = table.node
 
     def backward(g):
-        if table.requires_grad:
-            scatter_add_into(table, idx.reshape(-1), g.reshape((idx.size,) + table.data.shape[1:]))
+        if tn.requires_grad:
+            scatter_add_into(tn, idx.reshape(-1), g.reshape((idx.size,) + tn.shape[1:]))
 
-    return _register(out, table.requires_grad, backward)
+    return _register(out, tn.requires_grad, backward)
 
 
 def _placed(g: np.ndarray, idx: np.ndarray, n: int) -> csr_matrix:
@@ -689,56 +735,71 @@ def _placed(g: np.ndarray, idx: np.ndarray, n: int) -> csr_matrix:
     return csr_matrix((g.reshape(-1), idx.reshape(-1), np.arange(m + 1) * k), shape=(m, n))
 
 
+# token rows per gather of _gathered_einsum: 1 MiB at desk, where a batch gathers 16 MiB
+GATHER_TILE = 256
+
+
+def _gathered_einsum(spec: str, a: np.ndarray, data: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """np.einsum(spec, a, data[idx]) for spec "md,mkd->mk" or "mk,mkd->md",
+    over tiles of GATHER_TILE rows of a and idx, so the [m, k, d] gather never
+    exists whole. Each output row is computed from its own row alone, by the
+    same contraction, so the bits equal the one-shot einsum's."""
+    m = idx.shape[0]
+    width = idx.shape[1] if spec.endswith("mk") else data.shape[1]
+    out = np.empty((m, width), np.result_type(a, data))
+    for lo in range(0, m, GATHER_TILE):
+        out[lo : lo + GATHER_TILE] = np.einsum(spec, a[lo : lo + GATHER_TILE], data[idx[lo : lo + GATHER_TILE]])
+    return out
+
+
 def gather_dot(x: Tensor, table: Tensor, idx) -> Tensor:
     """x [m,d] and rows idx [m,k] of table [n,d] -> [m,k]; out[i,j] = x[i] . table[idx[i,j]].
 
-    x's adjoint is one CSR product of g, placed at the ids, with the table;
-    the table's adjoint adds g[i,j] * x[i] into row idx[i,j] through
-    scatter_add_into. Neither keeps the [m,k,d] gather of the forward, so
-    nothing may write the table between the forward and its backward
-    (train_step updates parameters only after backward).
+    The forward gathers GATHER_TILE rows at a time. x's adjoint is one CSR
+    product of g, placed at the ids, with the table; the table's adjoint
+    adds g[i,j] * x[i] into row idx[i,j] through scatter_add_into. Neither
+    keeps a gather, so nothing may write the table between the forward and
+    its backward (train_step updates parameters only after backward).
     """
     idx = _row_ids(table, idx, "gather_dot")
     if x.data.ndim != 2 or table.data.ndim != 2 or idx.ndim != 2 or idx.shape[0] != x.data.shape[0] or x.data.shape[1] != table.data.shape[1]:
         raise ValueError(f"gather_dot shape mismatch: x {x.data.shape}, table {table.data.shape}, idx {idx.shape}")
-    rows = table.data[idx]
-    count_macs(rows.size)
-    out = Tensor(np.einsum("md,mkd->mk", x.data, rows))
-    data = table.data
+    xd, data, xn, tn = x.data, table.data, x.node, table.node
+    count_macs(idx.size * data.shape[1])
+    out = Tensor(_gathered_einsum("md,mkd->mk", xd, data, idx))
 
     def backward(g):
-        if x.requires_grad:
-            _accum(x, _placed(g, idx, data.shape[0]) @ data)
-        if table.requires_grad:
-            scatter_add_into(table, idx, x.data, g)
+        if xn.requires_grad:
+            _accum(xn, _placed(g, idx, data.shape[0]) @ data)
+        if tn.requires_grad:
+            scatter_add_into(tn, idx, xd, g)
 
-    return _register(out, x.requires_grad or table.requires_grad, backward)
+    return _register(out, xn.requires_grad or tn.requires_grad, backward)
 
 
 def gather_weighted_sum(w: Tensor, table: Tensor, idx) -> Tensor:
     """w [m,k] and rows idx [m,k] of table [n,d] -> [m,d]; out[i] = sum_j w[i,j] * table[idx[i,j]].
 
-    w's adjoint gathers the rows again, in backward, from the table array
-    the forward read; the table's adjoint adds w[i,j] * g[i] into row
-    idx[i,j] through scatter_add_into. No [m,k,d] gather is kept from the
-    forward to its backward, so nothing may write the table in between
-    (train_step updates parameters only after backward).
+    The forward and w's adjoint, which reads the table array the forward
+    read, gather GATHER_TILE rows at a time; the table's adjoint adds
+    w[i,j] * g[i] into row idx[i,j] through scatter_add_into. No gather is
+    kept from the forward to its backward, so nothing may write the table
+    in between (train_step updates parameters only after backward).
     """
     idx = _row_ids(table, idx, "gather_weighted_sum")
     if w.data.ndim != 2 or table.data.ndim != 2 or w.data.shape != idx.shape:
         raise ValueError(f"gather_weighted_sum shape mismatch: w {w.data.shape}, table {table.data.shape}, idx {idx.shape}")
-    rows = table.data[idx]
-    count_macs(rows.size)
-    out = Tensor(np.einsum("mk,mkd->md", w.data, rows))
-    data = table.data
+    wd, data, wn, tn = w.data, table.data, w.node, table.node
+    count_macs(idx.size * data.shape[1])
+    out = Tensor(_gathered_einsum("mk,mkd->md", wd, data, idx))
 
     def backward(g):
-        if w.requires_grad:
-            _accum(w, np.einsum("md,mkd->mk", g, data[idx]))
-        if table.requires_grad:
-            scatter_add_into(table, idx, g, w.data)
+        if wn.requires_grad:
+            _accum(wn, _gathered_einsum("md,mkd->mk", g, data, idx))
+        if tn.requires_grad:
+            scatter_add_into(tn, idx, g, wd)
 
-    return _register(out, w.requires_grad or table.requires_grad, backward)
+    return _register(out, wn.requires_grad or tn.requires_grad, backward)
 
 
 def product_key_scores(q: Tensor, left: Tensor, right: Tensor, left_ids, right_ids, scores: np.ndarray) -> Tensor:
@@ -765,19 +826,20 @@ def product_key_scores(q: Tensor, left: Tensor, right: Tensor, left_ids, right_i
         )
     out = Tensor(scores)
     q_data, l_data, r_data = q.data, left.data, right.data
+    qn, ln, rn = q.node, left.node, right.node
 
     def backward(g):
-        if q.requires_grad:
+        if qn.requires_grad:
             dq = np.empty_like(q_data)
             dq[:, :half] = _placed(g, left_ids, l_data.shape[0]) @ l_data
             dq[:, half:] = _placed(g, right_ids, r_data.shape[0]) @ r_data
-            _accum(q, dq)
-        if left.requires_grad:
-            scatter_add_into(left, left_ids, q_data[:, :half], g)
-        if right.requires_grad:
-            scatter_add_into(right, right_ids, q_data[:, half:], g)
+            _accum(qn, dq)
+        if ln.requires_grad:
+            scatter_add_into(ln, left_ids, q_data[:, :half], g)
+        if rn.requires_grad:
+            scatter_add_into(rn, right_ids, q_data[:, half:], g)
 
-    return _register(out, q.requires_grad or left.requires_grad or right.requires_grad, backward)
+    return _register(out, qn.requires_grad or ln.requires_grad or rn.requires_grad, backward)
 
 
 def scatter_rows_add(base: Tensor, idx, rows: Tensor) -> Tensor:
@@ -786,14 +848,15 @@ def scatter_rows_add(base: Tensor, idx, rows: Tensor) -> Tensor:
     acc = base.data.copy()
     np.add.at(acc, idx, rows.data)
     out = Tensor(acc)
+    bn, rn = base.node, rows.node
 
     def backward(g):
-        if base.requires_grad:
-            _accum(base, g)
-        if rows.requires_grad:
-            _accum(rows, g[idx])
+        if bn.requires_grad:
+            _accum(bn, g)
+        if rn.requires_grad:
+            _accum(rn, g[idx])
 
-    return _register(out, base.requires_grad or rows.requires_grad, backward)
+    return _register(out, bn.requires_grad or rn.requires_grad, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -830,23 +893,26 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, axis: int | N
         xhat = x.data - mu
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv  # the centered rows, scaled in place: no third [n,d] array
-    out = Tensor(gamma.data * xhat + beta.data)
+    y = xhat * gamma.data
+    y += beta.data
+    out = Tensor(y)
+    gd, xn, gn, bn = gamma.data, x.node, gamma.node, beta.node
 
     def backward(g):
         # one [n,d] scratch t besides the result dxhat, each product into one of them
         t = None
-        if gamma.requires_grad:
+        if gn.requires_grad:
             t = g * xhat
-            _accum(gamma, t.sum(axis=0))
-        if beta.requires_grad:
-            _accum(beta, g.sum(axis=0))
-        if x.requires_grad:
-            dxhat = g * gamma.data
+            _accum(gn, t.sum(axis=0))
+        if bn.requires_grad:
+            _accum(bn, g.sum(axis=0))
+        if xn.requires_grad:
+            dxhat = g * gd
             if stats is not None:
                 dxhat *= inv
             else:
                 # inv / n * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))
-                n = x.data.shape[axis]
+                n = xn.shape[axis]
                 s1 = dxhat.sum(axis=axis, keepdims=True)
                 t = np.multiply(dxhat, xhat, out=t)
                 s2 = t.sum(axis=axis, keepdims=True)
@@ -854,9 +920,9 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, axis: int | N
                 dxhat -= s1
                 dxhat -= np.multiply(xhat, s2, out=t)
                 dxhat *= inv / n
-            _accum(x, dxhat)
+            _accum(xn, dxhat)
 
-    return _register(out, x.requires_grad or gamma.requires_grad or beta.requires_grad, backward), mu, var
+    return _register(out, xn.requires_grad or gn.requires_grad or bn.requires_grad, backward), mu, var
 
 
 def batch_norm(x: Tensor, state: BNState, mode: str) -> Tensor:

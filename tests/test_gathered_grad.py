@@ -7,6 +7,8 @@ sequential Python loop over the entries in (token, slot) order, on random
 float32 values, where a different order would round differently.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from test_live_adam import CFG, assert_same_state, dense_adam_step
@@ -104,17 +106,17 @@ def test_two_contributions_sum_like_dense_buffers(order):
     dense = rng.normal(size=(n_rows, 3)).astype(np.float32)
     dense[::3] = -0.0
     if order == "rows+rows":
-        T.scatter_add_into(table, idx_a, x_a, w_a)
-        T.scatter_add_into(table, idx_b, x_b, w_b)
+        T.scatter_add_into(table.node, idx_a, x_a, w_a)
+        T.scatter_add_into(table.node, idx_b, x_b, w_b)
         assert same_bits(table.grad_ids, np.union1d(idx_a, idx_b)) and table.grad_rows is not None
         want = buf_a + buf_b
     elif order == "rows+dense":
-        T.scatter_add_into(table, idx_a, x_a, w_a)
-        T._accum(table, dense)
+        T.scatter_add_into(table.node, idx_a, x_a, w_a)
+        T._accum(table.node, dense)
         want = buf_a + dense
     else:
-        T._accum(table, dense)
-        T.scatter_add_into(table, idx_a, x_a, w_a)
+        T._accum(table.node, dense)
+        T.scatter_add_into(table.node, idx_a, x_a, w_a)
         want = dense + buf_a
     assert same_bits(table.grad, want)
     assert not (np.signbit(table.grad) & (table.grad == 0)).any()
@@ -132,6 +134,51 @@ def test_forward_equals_gather_then_contract():
         T.gather_dot(x, table, idx + 64)
     with pytest.raises(ValueError, match="shape mismatch"):
         T.gather_weighted_sum(w, table, idx[:, :3])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("m", [1, 255, 256, 257, 1000])
+def test_row_tiles_give_the_one_shot_einsum_bits(m, dtype):
+    # the forward and w's adjoint contract GATHER_TILE rows at a time: one
+    # row, a tile, a row either side of a tile's end, and several tiles
+    assert T.GATHER_TILE == 256
+    rng = np.random.default_rng(m)
+    idx = rng.integers(0, 300, size=(m, 16))
+    table = Tensor(rng.normal(size=(300, 64)).astype(dtype))
+    x = Tensor(rng.normal(size=(m, 64)).astype(dtype))
+    w = Tensor(rng.normal(size=(m, 16)).astype(dtype), requires_grad=True)
+    g = rng.normal(size=(m, 64)).astype(dtype)
+    rows = table.data[idx]
+    assert same_bits(T.gather_dot(x, table, idx).data, np.einsum("md,mkd->mk", x.data, rows))
+    with Tape() as tape:
+        out = T.gather_weighted_sum(w, table, idx)
+        tape.backward(out, g)
+    assert same_bits(out.data, np.einsum("mk,mkd->md", w.data, rows))
+    assert same_bits(w.grad, np.einsum("md,mkd->mk", g, rows))
+
+
+@pytest.mark.parametrize("op", ["gather_dot", "gather_weighted_sum"])
+def test_no_whole_gather_exists_in_the_forward_or_the_operand_adjoint(op):
+    m, k, d = 4096, 16, 64
+    gather_bytes = m * k * d * 4  # 16 MiB of float32
+    rng = np.random.default_rng(0)
+    idx = rng.integers(0, 4096, size=(m, k))
+    table = Tensor(rng.normal(size=(4096, d)).astype(np.float32))
+    operand = Tensor(rng.normal(size=(m, d if op == "gather_dot" else k)).astype(np.float32), requires_grad=True)
+    g = rng.normal(size=(m, k if op == "gather_dot" else d)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            out = getattr(T, op)(operand, table, idx)
+            forward = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            tape.backward(out, g)
+            backward = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert forward < gather_bytes // 2, f"forward peak {forward / 2**20:.1f} MiB"
+    assert backward < gather_bytes // 2, f"adjoint peak {backward / 2**20:.1f} MiB"
+    assert operand.grad is not None
 
 
 def test_a_later_contribution_leaves_an_aliased_gradient_alone():

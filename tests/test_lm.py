@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from test_tensor import assert_records_hold_no_tensor
 
 from peer_lab import analysis
 from peer_lab import tensor as T
@@ -179,6 +180,14 @@ class TestForward:
         assert len(tape) == nodes
         assert all(t.grad is None and t.grad_rows is None for t in outputs)
         assert all(p.grad is not None for p in model.named_parameters().values())  # leaves keep theirs
+
+    @pytest.mark.parametrize("middle", ["dense", "pkm", "peer", "moe"])
+    def test_desk_train_forward_records_no_tensor(self, middle):
+        model = build_model(model_config_from_flat({**default_config(), "model.middle_layer": middle}))
+        tokens = np.random.default_rng(0).integers(0, 256, size=(2, 8))
+        with T.Tape() as tape:
+            model.loss(tokens[:, :-1], tokens[:, 1:], mode="train")
+        assert_records_hold_no_tensor(tape)
 
     @pytest.mark.parametrize("middle", ["dense", "pkm", "peer", "moe"])
     def test_later_tokens_leave_earlier_logits_bitwise_unchanged(self, middle):
@@ -359,6 +368,31 @@ class TestStepMemory:
             tracemalloc.stop()
         assert peak <= 1.2 * tape_bytes, f"backward peak {peak / 2**20:.1f} MiB over a {tape_bytes / 2**20:.1f} MiB tape"
         assert held < 4 << 20, f"{held / 2**20:.1f} MiB held after backward"
+
+
+    def test_desk_peer_forward_tape_holds_what_adjoints_read(self):
+        # op outputs no adjoint reads (the query product, the logits, the
+        # residual sums, the wo and w_out products) die during the forward;
+        # the tape held 95.4 MiB when every closure kept its input tensors
+        cfg = {**default_config(), "model.middle_layer": "peer", "model.seed": 1}
+        model = build_model(model_config_from_flat(cfg))
+        corpus = Corpus.synthetic(1 << 20, seed=1)
+        tcfg = TrainConfig(batch=16, warmup=1, seed=1)
+        state = init_train_state(model, tcfg)
+        for _ in range(2):
+            train_module.train_step(model, corpus, state, tcfg)
+        x, y = corpus.sample_windows(state.rng, tcfg.batch, model.config.seq_len)
+        for p in model.named_parameters().values():
+            p.zero_grad()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with T.Tape():
+                model.loss(x, y, mode="train")
+                tape_bytes = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert tape_bytes <= 80 << 20, f"forward tape {tape_bytes / 2**20:.1f} MiB"
 
 
 class TestCheckpointEntries:

@@ -1,4 +1,5 @@
 import math
+import types
 import weakref
 
 import numpy as np
@@ -246,6 +247,16 @@ class TestCrossEntropy:
         with pytest.raises(ValueError, match=r"\(0, 4\)"):
             T.cross_entropy_with_logits(Tensor(np.zeros((0, 4))), np.zeros(0, dtype=np.int64))
 
+    @pytest.mark.parametrize("targets", [[0, -1, 2], [0, 5, 2]], ids=["negative", "past_the_end"])
+    def test_targets_outside_the_vocabulary_error(self, targets):
+        # numpy would score -1 against the last column (1.609 here) and raise a bare IndexError on 5
+        with pytest.raises(ValueError, match=r"out of range \[0, 5\)"):
+            T.cross_entropy_with_logits(Tensor(np.zeros((3, 5))), np.array(targets))
+
+    def test_float_targets_error(self):
+        with pytest.raises(ValueError, match="integer targets"):
+            T.cross_entropy_with_logits(Tensor(np.zeros((3, 5))), np.array([0.0, 1.0, 2.0]))
+
 
 class TestTapeSemantics:
     def test_grad_accumulates_over_uses(self):
@@ -320,10 +331,10 @@ class TestTapeRelease:
             n = T.layer_norm(h, gamma, beta)
             rows = T.gather_rows(n, [0, 2, 2, 5])  # n's gradient comes back row-sparse
             loss = T.cross_entropy_with_logits(rows, [1, 0, 4, 3])
-            outputs = [out for out, _ in tape._records]
+            outputs = [node for node, _ in tape._records]
             tape.backward(loss)
             assert len(tape) == len(outputs) == 5
-        assert {id(t) for t in outputs} >= {id(h), id(n), id(rows), id(loss)}
+        assert {id(t) for t in outputs} >= {id(h.node), id(n.node), id(rows.node), id(loss.node)}
         for t in outputs:
             assert t.grad is None and t.grad_ids is None and t.grad_rows is None
         for leaf in (x, w, gamma, beta):
@@ -657,6 +668,41 @@ def test_no_adjoint_writes_into_its_upstream_gradient(name):
         records = list(tape._records)
     assert records
     for out, bwd in records:
-        g = rng.normal(size=out.data.shape).astype(out.data.dtype)
+        g = rng.normal(size=out.shape).astype(out.dtype)
         g.flags.writeable = False
         bwd(g)  # an in-place write into g raises here
+
+
+def closure_values(fn):
+    """Every value fn's closure holds, through nested functions, tuples and lists."""
+    seen, todo, out = set(), [c.cell_contents for c in fn.__closure__ or ()], []
+    while todo:
+        v = todo.pop()
+        if id(v) in seen:
+            continue
+        seen.add(id(v))
+        if isinstance(v, types.FunctionType):
+            todo.extend(c.cell_contents for c in v.__closure__ or ())
+        elif isinstance(v, (tuple, list)):
+            todo.extend(v)
+        else:
+            out.append(v)
+    return out
+
+
+def assert_records_hold_no_tensor(tape):
+    """Each recorded closure keeps nodes, arrays and scalars only: an op
+    output no adjoint reads must die with the forward code's last reference."""
+    assert len(tape) > 0
+    for node, bwd in tape._records:
+        assert isinstance(node, T.Node)
+        for v in closure_values(bwd):
+            assert v is None or isinstance(v, (T.Node, np.ndarray, np.generic, int, float, str)), (bwd.__qualname__, type(v))
+
+
+@pytest.mark.parametrize("name", sorted(OP_CASES))
+def test_no_recorded_closure_holds_a_tensor(name):
+    f, _ = OP_CASES[name](np.random.default_rng(0))
+    with Tape() as tape:
+        f()
+    assert_records_hold_no_tensor(tape)
